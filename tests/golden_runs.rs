@@ -1,0 +1,111 @@
+//! Golden fingerprints: pins *what* the simulator computes, not just that
+//! two steppers agree with each other.
+//!
+//! The stepper-equivalence suite compares the shipped core against the
+//! per-cycle reference, but both run the same controller, DRAM and ORAM
+//! code, so a change to that shared code would shift both and stay green.
+//! This test runs a fixed set of (scheme, spec) pairs at
+//! `SystemConfig::small_for_tests()` and compares an integer fingerprint of
+//! each run against `tests/golden/runs.txt`. Every run is a pure function of
+//! (code, config, seed), so any difference is a change in behaviour.
+//!
+//! A deliberate behaviour change regenerates the file from the output this
+//! test prints on failure.
+
+use palermo::oram::baselines;
+use palermo::sim::experiment::{CustomProtocol, RunSpec};
+use palermo::sim::{run_workload_spec, RunMetrics, Scheme, SystemConfig, WorkloadSpec};
+use palermo::workloads::Workload;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = include_str!("golden/runs.txt");
+
+const SCHEMES: [Scheme; 3] = [Scheme::RingOram, Scheme::Palermo, Scheme::PalermoPrefetch];
+
+const SPECS: [&str; 4] = [
+    "mcf",
+    "mix:rr:redis*2+llm+stream",
+    "open:poisson:0.05:random",
+    "shard:2:hash:random",
+];
+
+/// FNV-1a over the little-endian bytes of each value.
+fn fnv1a64(values: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in values.iter().flat_map(|v| v.to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+fn fingerprint(label: &str, m: &RunMetrics) -> String {
+    format!(
+        "{label} cycles={} oram_requests={} dummy_requests={} submitted_requests={} \
+dram.reads={} dram.writes={} dram.row_hits={} stash_high_water={} sync_stall_cycles={} \
+arrivals={} dropped_arrivals={} latencies_fnv={:016x} queue_waits_fnv={:016x}",
+        m.cycles,
+        m.oram_requests,
+        m.dummy_requests,
+        m.submitted_requests,
+        m.dram.reads,
+        m.dram.writes,
+        m.dram.row_hits,
+        m.stash_high_water,
+        m.sync_stall_cycles,
+        m.arrivals,
+        m.dropped_arrivals,
+        fnv1a64(&m.latencies),
+        fnv1a64(&m.queue_waits),
+    )
+}
+
+/// The PrORAM-without-fat-tree point of Fig. 4 at prefetch length 4, built
+/// the way `figures::fig04` builds its custom variants.
+fn custom_run(config: &SystemConfig) -> RunMetrics {
+    let prefetch_length = 4;
+    let stash = 1024;
+    let hierarchy = baselines::pr_oram(
+        config.hierarchy_params().unwrap(),
+        config.seed,
+        prefetch_length,
+        false,
+        stash,
+        stash * 3 / 4,
+    )
+    .unwrap();
+    RunSpec::new(Scheme::PrOram, Workload::Streaming, config.clone())
+        .with_custom(CustomProtocol {
+            hierarchy,
+            controller: Scheme::PrOram.controller_config(config.pe_columns),
+            prefetch_length,
+        })
+        .execute()
+        .unwrap()
+}
+
+fn regenerate() -> String {
+    let config = SystemConfig::small_for_tests();
+    let mut out = String::new();
+    for name in SPECS {
+        let spec = WorkloadSpec::from_name(name).unwrap();
+        for scheme in SCHEMES {
+            let m = run_workload_spec(scheme, &spec, &config)
+                .unwrap_or_else(|e| panic!("{scheme}/{name} failed: {e}"));
+            writeln!(out, "{}", fingerprint(&format!("{scheme}/{name}"), &m)).unwrap();
+        }
+    }
+    let custom = custom_run(&config);
+    writeln!(out, "{}", fingerprint("custom:PrORAM/stream/pf=4", &custom)).unwrap();
+    out
+}
+
+#[test]
+fn runs_match_the_golden_fingerprints() {
+    let actual = regenerate();
+    assert!(
+        actual == GOLDEN,
+        "golden fingerprints changed; if the change is intended, replace \
+tests/golden/runs.txt with:\n{actual}"
+    );
+}
