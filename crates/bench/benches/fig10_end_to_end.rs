@@ -2,12 +2,13 @@
 //!
 //! The bench measures one representative workload per locality class under
 //! every scheme; the printed table covers a representative sub-matrix at the
-//! report budget. Compare against `EXPERIMENTS.md`.
+//! report budget. The `fig10_end_to_end` example runs the full-size grid
+//! (README, "Reproducing figures").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::{bench_config, report_config};
 use palermo_sim::figures::fig10;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
@@ -33,7 +34,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("random", scheme.name()),
             &scheme,
             |b, &scheme| {
-                b.iter(|| run_workload(scheme, Workload::Random, &cfg).expect("run"));
+                b.iter(|| run_workload_spec(scheme, &Workload::Random.into(), &cfg).expect("run"));
             },
         );
     }

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::{bench_config, report_config};
 use palermo_sim::figures::fig13;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
             Scheme::PalermoPrefetch
         };
         group.bench_with_input(BenchmarkId::new("palermo_llm_pf", pf), &pf, move |b, _| {
-            b.iter(|| run_workload(scheme, Workload::Llm, &cfg).expect("run"));
+            b.iter(|| run_workload_spec(scheme, &Workload::Llm.into(), &cfg).expect("run"));
         });
     }
     group.finish();

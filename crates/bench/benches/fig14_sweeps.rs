@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use palermo_bench::{bench_config, report_config};
 use palermo_sim::figures::fig14;
-use palermo_sim::runner::run_workload;
+use palermo_sim::runner::run_workload_spec;
 use palermo_sim::schemes::Scheme;
 use palermo_workloads::Workload;
 
@@ -23,7 +23,9 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("palermo_rand_pe", columns),
             &columns,
             move |b, _| {
-                b.iter(|| run_workload(Scheme::Palermo, Workload::Random, &cfg).expect("run"));
+                b.iter(|| {
+                    run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).expect("run")
+                });
             },
         );
     }

@@ -5,7 +5,8 @@
 //! wall-clock cost of the corresponding experiment at a reduced request
 //! budget *and* prints the experiment's result table once, so running
 //! `cargo bench` both exercises the simulator and reproduces the paper's
-//! rows (see `EXPERIMENTS.md` for the mapping and the recorded values).
+//! rows (the README's "Reproducing figures" table maps each figure to its
+//! bench and example).
 //!
 //! The shared helpers here keep the per-bench request budgets small enough
 //! for Criterion's repeated sampling while remaining large enough for the

@@ -9,8 +9,8 @@
 //! [`crate::experiment::Experiment`] and also offers a `run_with` variant
 //! taking any [`crate::experiment::Executor`] (the examples pass a
 //! [`crate::experiment::ThreadPoolExecutor`] to fan the independent runs
-//! across cores). `EXPERIMENTS.md` records the paper-reported values next
-//! to the values these runners produce.
+//! across cores). The README's "Reproducing figures" table names the
+//! example and the bench that run each figure.
 
 pub mod fig03;
 pub mod fig04;

@@ -4,7 +4,8 @@
 //! the LLC model, an ORAM protocol instance, an ORAM controller model and
 //! the DRAM substrate into a single cycle-driven loop, and provides the
 //! experiment runners that regenerate every table and figure of the paper's
-//! evaluation (see `EXPERIMENTS.md`).
+//! evaluation (the README's "Reproducing figures" table names the example
+//! and the bench that run each figure).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,17 +22,14 @@ pub use experiment::{
     Executor, Experiment, ResultSet, RunRecord, RunSpec, SerialExecutor, ThreadPoolExecutor,
 };
 pub use runner::{
-    run_workload, run_workload_spec, run_workload_spec_stepped, run_workload_stepped,
-    CalendarStepper, EventStepper, ReferenceStepper, RunMetrics, ShardMetrics, Stepper,
-    TenantMetrics,
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper, RunMetrics,
+    ShardMetrics, Stepper, TenantMetrics,
 };
 pub use schemes::Scheme;
 pub use serving::{
     AdmissionOutcome, AdmissionPolicy, AdmissionPolicyKind, Arrival, ArrivalProcess, ServingEngine,
 };
-pub use shard::{
-    PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem, SingleSystem, SystemShape,
-};
+pub use shard::{PooledShardStepper, SerialShardStepper, ShardStepper, ShardedSystem};
 pub use system::SystemConfig;
 
 pub use palermo_dram::{

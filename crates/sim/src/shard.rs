@@ -29,7 +29,7 @@
 //! * The merge folds shard results in shard-index order only — no
 //!   completion-order or thread-order dependence anywhere.
 
-use crate::runner::{run_core, RunMetrics, ShardMetrics, Stepper, TenantMetrics};
+use crate::runner::{run_core, scheme_protocol, RunMetrics, ShardMetrics, Stepper, TenantMetrics};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::LatencyHistogram;
@@ -40,57 +40,6 @@ use palermo_workloads::{OpenLoopSpec, ShardRouter, ShardSpec, ShardStream, Workl
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A runnable system shape: the simulator's second axis of composition.
-///
-/// [`SingleSystem`] is the classic one-controller shape;
-/// [`ShardedSystem`] is K of them behind a router. Both produce a
-/// [`RunMetrics`] from a clock-advance strategy, so experiment code can
-/// hold either behind one trait object.
-pub trait SystemShape {
-    /// Number of independent ORAM instances this shape drives.
-    fn shard_count(&self) -> u32;
-
-    /// Runs the shape to completion under the given clock-advance strategy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol-configuration and workload-spec build errors.
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics>;
-}
-
-/// The classic one-controller system, as a [`SystemShape`].
-///
-/// Thin value wrapper over [`crate::runner::run_workload_spec_stepped`]:
-/// exists so call sites that select a shape at runtime can treat single and
-/// sharded systems uniformly.
-#[derive(Debug, Clone)]
-pub struct SingleSystem {
-    scheme: Scheme,
-    spec: WorkloadSpec,
-    config: SystemConfig,
-}
-
-impl SingleSystem {
-    /// Wraps one (scheme, spec, config) triple as a runnable shape.
-    pub fn new(scheme: Scheme, spec: WorkloadSpec, config: SystemConfig) -> Self {
-        SingleSystem {
-            scheme,
-            spec,
-            config,
-        }
-    }
-}
-
-impl SystemShape for SingleSystem {
-    fn shard_count(&self) -> u32 {
-        1
-    }
-
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
-        crate::runner::run_workload_spec_stepped(self.scheme, &self.spec, &self.config, stepper)
-    }
-}
 
 /// K independent ORAM systems over a partitioned address space.
 ///
@@ -116,7 +65,6 @@ pub struct ShardedSystem {
     global_stream_hint: u64,
     /// Stream seed of the *global* run (see `global_stream_hint`).
     global_stream_seed: u64,
-    prefetch_length: u32,
 }
 
 impl ShardedSystem {
@@ -184,15 +132,6 @@ impl ShardedSystem {
             inner: shard_spec.inner.clone(),
         });
 
-        let prefetch_length = if scheme.uses_prefetch() {
-            config
-                .prefetch_override
-                .unwrap_or_else(|| spec.default_prefetch_length())
-                .max(1)
-        } else {
-            1
-        };
-
         Ok(ShardedSystem {
             scheme,
             spec: spec.clone(),
@@ -202,7 +141,6 @@ impl ShardedSystem {
             open,
             global_stream_hint: config.stream_footprint_hint(),
             global_stream_seed: config.stream_seed(),
-            prefetch_length,
         })
     }
 
@@ -236,14 +174,7 @@ impl ShardedSystem {
     /// Propagates protocol-configuration and stream build errors.
     pub fn run_shard(&self, shard: u32, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
         let config = &self.shard_configs[shard as usize];
-        let params = config.hierarchy_params()?;
-        let hierarchy_cfg = self.scheme.hierarchy_config(
-            params,
-            config.seed,
-            self.prefetch_length,
-            config.stash_capacity,
-        )?;
-        let controller_cfg = self.scheme.controller_config(config.pe_columns);
+        let protocol = scheme_protocol(self.scheme, &self.spec, config)?;
         // Rebuild the *global* stream (global hint and seed, not the
         // shard's): all shards filter the identical access sequence, so the
         // union of what the shards consume is exactly the unsharded stream.
@@ -254,13 +185,11 @@ impl ShardedSystem {
         let mut stream = ShardStream::new(inner, self.router.clone(), shard);
         run_core(
             self.scheme,
-            hierarchy_cfg,
-            controller_cfg,
+            protocol,
             &self.spec,
             self.open.as_ref(),
             &mut stream,
             config,
-            self.prefetch_length,
             stepper,
         )
     }
@@ -291,7 +220,7 @@ impl ShardedSystem {
             sync_stall_by_level: [0; 3],
             sync_stall_cycles: 0,
             llc_hit_rate: 0.0,
-            prefetch_length: self.prefetch_length,
+            prefetch_length: runs.first().map_or(1, |r| r.prefetch_length),
             submitted_requests: 0,
             per_tenant: Vec::new(),
             arrivals: 0,
@@ -361,16 +290,6 @@ impl ShardedSystem {
         debug_assert!(merged.shard_conservation_ok());
         debug_assert!(merged.tenant_conservation_ok());
         merged
-    }
-}
-
-impl SystemShape for ShardedSystem {
-    fn shard_count(&self) -> u32 {
-        self.shards()
-    }
-
-    fn run(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
-        ShardStepper::run(&SerialShardStepper, self, stepper)
     }
 }
 
@@ -529,7 +448,7 @@ impl ShardStepper for PooledShardStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::EventStepper;
+    use crate::runner::CalendarStepper;
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::small_for_tests();
@@ -588,22 +507,12 @@ mod tests {
     }
 
     #[test]
-    fn single_system_shape_matches_the_direct_runner() {
-        let spec = WorkloadSpec::from_name("random").unwrap();
-        let shape = SingleSystem::new(Scheme::RingOram, spec.clone(), tiny());
-        assert_eq!(shape.shard_count(), 1);
-        let via_shape = shape.run(&EventStepper).unwrap();
-        let direct = crate::runner::run_workload_spec(Scheme::RingOram, &spec, &tiny()).unwrap();
-        assert_eq!(via_shape, direct);
-    }
-
-    #[test]
     fn pooled_stepping_is_byte_identical_to_serial() {
         let spec = sharded("shard:2:range:mcf");
         let system = ShardedSystem::new(Scheme::Palermo, &spec, &tiny()).unwrap();
-        let serial = ShardStepper::run(&SerialShardStepper, &system, &EventStepper).unwrap();
+        let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
         let pooled =
-            ShardStepper::run(&PooledShardStepper::new(4), &system, &EventStepper).unwrap();
+            ShardStepper::run(&PooledShardStepper::new(4), &system, &CalendarStepper).unwrap();
         assert_eq!(serial, pooled);
     }
 

@@ -18,17 +18,17 @@
 //!
 //! ## Quickstart
 //!
-//! A single run goes through [`sim::runner::run_workload`]:
+//! A single run goes through [`sim::runner::run_workload_spec`]:
 //!
 //! ```
 //! use palermo::sim::schemes::Scheme;
 //! use palermo::sim::system::SystemConfig;
-//! use palermo::sim::runner::run_workload;
+//! use palermo::sim::runner::run_workload_spec;
 //! use palermo::workloads::workload::Workload;
 //!
 //! // A deliberately tiny run: the defaults used by the figures are larger.
 //! let cfg = SystemConfig::small_for_tests();
-//! let metrics = run_workload(Scheme::Palermo, Workload::Random, &cfg).unwrap();
+//! let metrics = run_workload_spec(Scheme::Palermo, &Workload::Random.into(), &cfg).unwrap();
 //! assert!(metrics.oram_requests > 0);
 //! ```
 //!

@@ -1,16 +1,16 @@
-//! Proof that the event-driven simulation core is cycle-exact.
+//! Proof that the shipped simulation core is cycle-exact.
 //!
 //! The seed simulator advanced the clock one 1.6 GHz cycle at a time
-//! ([`palermo::sim::runner::ReferenceStepper`]); the event-driven core
-//! ([`palermo::sim::runner::EventStepper`], the default) jumps over
-//! provably-idle stretches. These tests assert the two produce **identical**
-//! [`RunMetrics`] — including `DramStats`, sync-stall attribution and every
-//! per-request latency — for every (scheme, workload) pair of the paper's
-//! grid under the `small_for_tests` configuration.
+//! ([`palermo::sim::runner::ReferenceStepper`], kept as the oracle); the
+//! shipped core ([`palermo::sim::runner::CalendarStepper`], which every run
+//! uses by default) jumps over provably-idle stretches and settled windows.
+//! These tests assert the two produce **identical** [`RunMetrics`] —
+//! including `DramStats`, sync-stall attribution and every per-request
+//! latency — for every (scheme, workload) pair of the paper's grid under the
+//! `small_for_tests` configuration.
 
 use palermo::sim::runner::{
-    run_workload_spec_stepped, run_workload_stepped, CalendarStepper, EventStepper,
-    ReferenceStepper,
+    run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -22,37 +22,41 @@ use palermo::workloads::Workload;
 /// Asserts byte-identical metrics, with a field-by-field message on failure
 /// so a regression names the counter that diverged.
 fn assert_equivalent(scheme: Scheme, workload: Workload, cfg: &SystemConfig) {
-    let reference = run_workload_stepped(scheme, workload, cfg, &ReferenceStepper)
+    let spec = workload.into();
+    let reference = run_workload_spec_stepped(scheme, &spec, cfg, &ReferenceStepper)
         .unwrap_or_else(|e| panic!("reference run failed for {scheme}/{workload}: {e}"));
-    let event = run_workload_stepped(scheme, workload, cfg, &EventStepper)
-        .unwrap_or_else(|e| panic!("event run failed for {scheme}/{workload}: {e}"));
+    let calendar = run_workload_spec_stepped(scheme, &spec, cfg, &CalendarStepper)
+        .unwrap_or_else(|e| panic!("calendar run failed for {scheme}/{workload}: {e}"));
 
     assert_eq!(
-        reference.cycles, event.cycles,
+        reference.cycles, calendar.cycles,
         "{scheme}/{workload}: measured cycles diverged"
     );
     assert_eq!(
-        reference.dram, event.dram,
+        reference.dram, calendar.dram,
         "{scheme}/{workload}: DramStats diverged"
     );
     assert_eq!(
-        reference.sync_stall_cycles, event.sync_stall_cycles,
+        reference.sync_stall_cycles, calendar.sync_stall_cycles,
         "{scheme}/{workload}: sync stall cycles diverged"
     );
     assert_eq!(
-        reference.sync_stall_by_level, event.sync_stall_by_level,
+        reference.sync_stall_by_level, calendar.sync_stall_by_level,
         "{scheme}/{workload}: per-level sync stalls diverged"
     );
     assert_eq!(
-        reference.latencies, event.latencies,
+        reference.latencies, calendar.latencies,
         "{scheme}/{workload}: per-request latencies diverged"
     );
     // And the full struct, in case a new field is added later.
-    assert_eq!(reference, event, "{scheme}/{workload}: RunMetrics diverged");
+    assert_eq!(
+        reference, calendar,
+        "{scheme}/{workload}: RunMetrics diverged"
+    );
 }
 
 /// Every scheme × workload pair of the paper grid is byte-identical between
-/// the per-cycle reference stepper and the event-driven core.
+/// the per-cycle reference stepper and the shipped calendar core.
 #[test]
 fn event_core_is_cycle_exact_across_the_full_grid() {
     let cfg = SystemConfig::small_for_tests();
@@ -87,13 +91,7 @@ fn tiny_dram_queues_stay_cycle_exact_under_time_skipping() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.dram.queue_capacity = 2;
     for scheme in [Scheme::RingOram, Scheme::Palermo] {
-        let reference =
-            run_workload_stepped(scheme, Workload::Mcf, &cfg, &ReferenceStepper).unwrap();
-        let calendar = run_workload_stepped(scheme, Workload::Mcf, &cfg, &CalendarStepper).unwrap();
-        assert_eq!(
-            reference, calendar,
-            "{scheme}: RunMetrics diverged under queue_capacity=2"
-        );
+        assert_equivalent(scheme, Workload::Mcf, &cfg);
     }
 }
 
@@ -146,7 +144,7 @@ fn zero_warmup_measures_every_request() {
     let mut cfg = SystemConfig::small_for_tests();
     cfg.warmup_requests = 0;
     cfg.measured_requests = 25;
-    let m = palermo::sim::runner::run_workload(Scheme::RingOram, Workload::Mcf, &cfg).unwrap();
+    let m = run_workload_spec(Scheme::RingOram, &Workload::Mcf.into(), &cfg).unwrap();
     assert_eq!(m.oram_requests, cfg.measured_requests);
     assert_eq!(m.latencies.len(), cfg.measured_requests as usize);
     assert!(m.workload_accesses >= m.oram_requests);
