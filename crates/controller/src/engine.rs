@@ -21,9 +21,9 @@
 
 use crate::stats::ControllerStats;
 use palermo_dram::{DramSystem, MemRequest};
-use palermo_oram::access_plan::{AccessPlan, PhaseKind, PlanNodeId};
+use palermo_oram::access_plan::{AccessPlan, PhaseKind};
 use palermo_oram::types::SubOram;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::BuildHasherDefault;
 
 /// Multiplicative hasher for the sequential `u64` ids the engine keys its
@@ -138,57 +138,44 @@ impl FinishedRequest {
     }
 }
 
-#[derive(Debug, Clone)]
+/// The issue-side state of one plan node. The node's static description
+/// (addresses, dependencies, compute latency) stays in the request's
+/// [`AccessPlan`]; readiness, completion and countdown membership live in
+/// the request's node masks.
+#[derive(Debug, Clone, Copy, Default)]
 struct NodeRuntime {
-    pending_reads: Vec<u64>,
-    pending_writes: Vec<u64>,
-    /// Issue cursors into the pending vectors (issued-so-far counts); a
-    /// cursor walk replaces the `remove(0)` shifting the seed engine did per
-    /// issued operation.
+    /// Issue cursors into the plan node's read and write lists.
     reads_issued: usize,
     writes_issued: usize,
     outstanding_reads: usize,
-    /// Static compute requirement of the node (never mutated after
-    /// construction; the running state lives in `compute_expiry`).
-    compute_remaining: u32,
     /// Absolute countdown-clock value at which the node's compute finishes,
-    /// set when the node enters its request's countdown list. Storing the
+    /// set when the node enters its request's countdown set. Storing the
     /// deadline instead of a per-tick decremented counter lets the step-2
     /// sweep skip entirely on ticks where no deadline is due, and lets bulk
     /// cycle skips advance one clock instead of every tracked node.
     compute_expiry: u64,
-    all_issued: bool,
-    complete: bool,
-    /// Whether this node sits in its request's countdown list.
-    in_countdown: bool,
+    /// The nodes this node depends on.
+    deps: u64,
+    /// The nodes that depend on this node.
+    dependents: u64,
 }
 
-impl NodeRuntime {
-    fn new(reads: &[u64], writes: &[u64], compute: u32) -> Self {
-        NodeRuntime {
-            pending_reads: reads.to_vec(),
-            pending_writes: writes.to_vec(),
-            reads_issued: 0,
-            writes_issued: 0,
-            outstanding_reads: 0,
-            compute_remaining: compute,
-            compute_expiry: 0,
-            all_issued: reads.is_empty() && writes.is_empty(),
-            complete: reads.is_empty() && writes.is_empty() && compute == 0,
-            in_countdown: false,
+/// The single-bit mask of node `n`. Plans hold at most
+/// [`AccessPlan::MAX_NODES`] nodes, so every node index fits a `u64` mask.
+fn bit(n: usize) -> u64 {
+    1 << n
+}
+
+/// Iterates the set bits of `mask`, lowest (oldest plan node) first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
         }
-    }
-
-    /// Countdown-eligible: memory traffic fully issued and returned, not yet
-    /// complete (dependency readiness is checked by the caller).
-    fn countdown_shape(&self) -> bool {
-        !self.complete && self.all_issued && self.outstanding_reads == 0
-    }
-
-    fn has_pending_ops(&self) -> bool {
-        self.reads_issued < self.pending_reads.len()
-            || self.writes_issued < self.pending_writes.len()
-    }
+        let n = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(n)
+    })
 }
 
 #[derive(Debug, Clone)]
@@ -199,101 +186,204 @@ struct InflightRequest {
     /// Per level: the request id of the previous request that also touches
     /// that level (the west sibling in the PE mesh).
     predecessor: [Option<u64>; SubOram::COUNT],
-    /// Node indices currently in compute countdown, ascending. Kept in sync
-    /// at every state transition so the per-cycle countdown step, the
-    /// next-wakeup prediction and bulk skipping touch only these nodes
-    /// instead of scanning every node of every request each cycle.
-    countdown: Vec<u16>,
-    /// Number of nodes not yet complete (retire check).
-    incomplete: u16,
-    /// Lowest node index that may still have memory operations to issue;
-    /// per-node pending work is monotone, so the drained prefix is skipped.
-    pending_cursor: u16,
-    /// Number of nodes that still have memory operations to issue. Pending
-    /// work is monotone per node, so this only ever decrements; the issue
-    /// pass skips a fully-drained request in O(1) instead of rescanning its
-    /// node list every cycle while it waits on completions or compute.
-    pending_nodes: u16,
+    /// One bit per plan node (bit `i` is node `i`): every node of the plan.
+    all: u64,
+    /// Nodes with memory operations left to issue. Pending work is
+    /// monotone, so bits only ever clear; a clear bit means every operation
+    /// of the node has been handed to the DRAM model.
+    pending: u64,
+    /// Nodes whose memory traffic and compute have finished.
+    complete: u64,
+    /// Nodes with at least one incomplete dependency. Bits clear only when
+    /// a dependency completes, which the countdown sweep sees, so the issue
+    /// pass never re-evaluates a dependency-blocked node.
+    unmet: u64,
+    /// Nodes in compute countdown (memory done, dependencies met).
+    counting: u64,
+    /// Nodes gated on the predecessor request at their level: the first
+    /// read phase of each level (LoadMetadata for Ring/Palermo, ReadPath for
+    /// the Path family, whose plans have no LoadMetadata node).
+    gate: u64,
+    /// Per level: every node of that level (blocked-level attribution).
+    level: [u64; SubOram::COUNT],
+    /// Per level: the first EarlyReshuffle and EvictPath node — the phases
+    /// that modify the level's tree, whose issue is the mesh hand-off.
+    modifies: [u64; SubOram::COUNT],
+    /// Per level: the first ReadPath node.
+    read_path: [u64; SubOram::COUNT],
+    /// Reads issued and not yet returned, across every node.
+    outstanding_reads: usize,
     /// DRAM bursts issued so far on behalf of this request.
     dram_ops: u64,
 }
 
 impl InflightRequest {
-    fn node_state(&self, id: PlanNodeId) -> &NodeRuntime {
-        &self.nodes[id.0 as usize]
+    fn new(plan: AccessPlan, submitted_at: u64) -> Self {
+        assert!(
+            plan.nodes.len() <= AccessPlan::MAX_NODES,
+            "plan {} has {} nodes; the controller tracks at most {}",
+            plan.request_id,
+            plan.nodes.len(),
+            AccessPlan::MAX_NODES
+        );
+        let mut nodes = vec![NodeRuntime::default(); plan.nodes.len()];
+        let (mut pending, mut complete, mut gate) = (0, 0, 0);
+        let mut level = [0; SubOram::COUNT];
+        let mut modifies = [0; SubOram::COUNT];
+        let mut read_path = [0; SubOram::COUNT];
+        // `AccessPlan::node_id` semantics: the first node of a (level,
+        // phase) pair is the one the hand-off rules look at.
+        let first = |sub: SubOram, phase: PhaseKind| {
+            plan.node_id(sub, phase).map_or(0, |id| bit(id.0 as usize))
+        };
+        for sub in SubOram::ALL {
+            let s = sub.index();
+            modifies[s] = first(sub, PhaseKind::EarlyReshuffle) | first(sub, PhaseKind::EvictPath);
+            read_path[s] = first(sub, PhaseKind::ReadPath);
+        }
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let b = bit(i);
+            level[node.sub.index()] |= b;
+            if node.is_empty() {
+                if node.compute_cycles == 0 {
+                    complete |= b;
+                }
+            } else {
+                pending |= b;
+            }
+            let gated = match node.phase {
+                PhaseKind::LoadMetadata => true,
+                PhaseKind::ReadPath => plan.node_id(node.sub, PhaseKind::LoadMetadata).is_none(),
+                _ => false,
+            };
+            if gated {
+                gate |= b;
+            }
+            for d in &node.deps {
+                let d = d.0 as usize;
+                nodes[i].deps |= bit(d);
+                nodes[d].dependents |= b;
+            }
+        }
+        let mut unmet = 0;
+        for (i, node) in nodes.iter().enumerate() {
+            if node.deps & !complete != 0 {
+                unmet |= bit(i);
+            }
+        }
+        let all = if plan.nodes.len() == AccessPlan::MAX_NODES {
+            u64::MAX
+        } else {
+            bit(plan.nodes.len()) - 1
+        };
+        InflightRequest {
+            plan,
+            nodes,
+            submitted_at,
+            predecessor: [None; SubOram::COUNT],
+            all,
+            pending,
+            complete,
+            unmet,
+            counting: 0,
+            gate,
+            level,
+            modifies,
+            read_path,
+            outstanding_reads: 0,
+            dram_ops: 0,
+        }
     }
 
     fn is_finished(&self) -> bool {
-        self.incomplete == 0
+        self.complete == self.all
     }
 
-    fn deps_done(&self, node_idx: usize) -> bool {
-        self.plan.nodes[node_idx]
-            .deps
-            .iter()
-            .all(|d| self.nodes[d.0 as usize].complete)
+    /// `true` once every node in `mask` has completed.
+    fn completed(&self, mask: u64) -> bool {
+        mask & !self.complete == 0
     }
 
-    /// Adds `node_idx` to the countdown list if it is countdown-eligible
-    /// and not already tracked. Plan dependencies always point backwards, so
-    /// the ascending order is preserved by inserting at the partition point.
+    /// Adds `n` to the countdown set if it is countdown-eligible — memory
+    /// traffic fully issued and returned, dependencies met, not yet
+    /// complete — and not already tracked.
     ///
     /// `base` is the countdown-clock value such that the node's deadline is
-    /// `base + compute_remaining` — the clock value of the sweep *before*
-    /// the first one that decrements it in the per-cycle reference (the
-    /// current clock at every call site except the mid-sweep cascade, which
-    /// passes `clock - 1` because the running sweep still counts). Returns
-    /// the stored deadline when newly tracked, so the controller can
-    /// maintain its running countdown minimum.
-    fn track_countdown(&mut self, node_idx: usize, base: u64) -> Option<u64> {
-        if !self.nodes[node_idx].countdown_shape()
-            || self.nodes[node_idx].in_countdown
-            || !self.deps_done(node_idx)
+    /// `base + compute_cycles` — the clock value of the sweep *before* the
+    /// first one that decrements it in the per-cycle reference (the current
+    /// clock at every call site except the mid-sweep cascade, which passes
+    /// `clock - 1` because the running sweep still counts). Returns the
+    /// stored deadline when newly tracked, so the controller can maintain
+    /// its running countdown minimum.
+    fn track_countdown(&mut self, n: usize, base: u64) -> Option<u64> {
+        let b = bit(n);
+        if (self.pending | self.complete | self.unmet | self.counting) & b != 0
+            || self.nodes[n].outstanding_reads != 0
         {
             return None;
         }
-        let idx16 = node_idx as u16;
-        let pos = self.countdown.partition_point(|&x| x < idx16);
-        self.countdown.insert(pos, idx16);
-        self.nodes[node_idx].in_countdown = true;
-        let expiry = base + u64::from(self.nodes[node_idx].compute_remaining);
-        self.nodes[node_idx].compute_expiry = expiry;
+        self.counting |= b;
+        let expiry = base + u64::from(self.plan.nodes[n].compute_cycles);
+        self.nodes[n].compute_expiry = expiry;
         Some(expiry)
     }
 
-    fn phase_issued(&self, sub: SubOram, phase: PhaseKind) -> bool {
-        match self.plan.node_id(sub, phase) {
-            Some(id) => self.node_state(id).all_issued,
-            None => true,
-        }
-    }
-
-    fn phase_complete(&self, sub: SubOram, phase: PhaseKind) -> bool {
-        match self.plan.node_id(sub, phase) {
-            Some(id) => self.node_state(id).complete,
-            None => true,
-        }
-    }
-
-    /// `true` once every phase that modifies level `sub`'s tree has been
-    /// issued (mesh policy) or completed (software policy).
-    fn tree_handoff(&self, sub: SubOram, require_complete: bool) -> bool {
-        if require_complete {
-            self.phase_complete(sub, PhaseKind::EarlyReshuffle)
-                && self.phase_complete(sub, PhaseKind::EvictPath)
-                && self.phase_complete(sub, PhaseKind::ReadPath)
-        } else {
-            self.phase_issued(sub, PhaseKind::EarlyReshuffle)
-                && self.phase_issued(sub, PhaseKind::EvictPath)
+    /// Marks `n` complete and releases its dependents: each dependent whose
+    /// last dependency this was loses its `unmet` bit and, if its memory
+    /// traffic is done, starts its countdown with deadline base `base`.
+    fn complete_node(&mut self, n: usize, base: u64) {
+        self.complete |= bit(n);
+        for d in bits(self.nodes[n].dependents & self.unmet) {
+            if self.completed(self.nodes[d].deps) {
+                self.unmet &= !bit(d);
+                self.track_countdown(d, base);
+            }
         }
     }
 
     /// For the serial policy: all reads done, all writes handed to the
     /// memory controller.
     fn ordering_complete(&self) -> bool {
-        self.nodes
-            .iter()
-            .all(|n| n.all_issued && n.outstanding_reads == 0)
+        self.pending == 0 && self.outstanding_reads == 0
+    }
+}
+
+/// Controller-side records of the DRAM reads in flight, indexed by
+/// `dram_id - base`. DRAM ids are handed out sequentially, so the live ids
+/// span a short window: the slab grows at the back as reads issue and
+/// shrinks from the front as the oldest slots empty. Posted writes take an
+/// id but no record (their completions carry no controller state).
+#[derive(Debug, Default)]
+struct OutstandingReads {
+    base: u64,
+    slots: VecDeque<Option<(u64, u32)>>,
+}
+
+impl OutstandingReads {
+    /// Records that read `id` belongs to (request id, node index).
+    fn insert(&mut self, id: u64, owner: (u64, u32)) {
+        if self.slots.is_empty() {
+            self.base = id;
+        }
+        debug_assert!(
+            id >= self.base + self.slots.len() as u64,
+            "DRAM ids must increase"
+        );
+        while self.base + (self.slots.len() as u64) < id {
+            self.slots.push_back(None);
+        }
+        self.slots.push_back(Some(owner));
+    }
+
+    /// Removes and returns the owner of `id`, if `id` is a recorded read.
+    fn remove(&mut self, id: u64) -> Option<(u64, u32)> {
+        let slot = usize::try_from(id.checked_sub(self.base)?).ok()?;
+        let owner = self.slots.get_mut(slot)?.take();
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        owner
     }
 }
 
@@ -317,10 +407,10 @@ pub struct TickActivity {
     /// `true` when the controller provably cannot act on the next cycle
     /// without an external event: the issue pass drained every ready node
     /// (it did not stop at the issue-width limit), no request retired, and
-    /// whatever remains pending is dependency-blocked or waiting on DRAM.
-    /// Combined with [`OramController::next_wakeup`] and the DRAM model's
-    /// event prediction this makes the tick skip-eligible even if it was
-    /// active.
+    /// whatever remains pending is dependency-blocked or was turned away by
+    /// a full DRAM queue (see [`OramController::retry_ready`]). Combined
+    /// with [`OramController::next_wakeup`] and the DRAM model's event
+    /// prediction this makes the tick skip-eligible even if it was active.
     pub settled: bool,
 }
 
@@ -339,11 +429,12 @@ impl TickActivity {
 pub struct OramController {
     config: ControllerConfig,
     inflight: Vec<InflightRequest>,
+    /// Request id -> index into `inflight`.
     by_request_id: IdMap<usize>,
     /// Most recently submitted request id per level (for sibling chaining).
     last_at_level: [Option<u64>; SubOram::COUNT],
-    /// DRAM request id -> (request id, node index).
-    outstanding_dram: IdMap<(u64, u32)>,
+    /// DRAM read id -> (request id, node index).
+    outstanding_dram: OutstandingReads,
     next_dram_id: u64,
     finished: Vec<FinishedRequest>,
     stats: ControllerStats,
@@ -354,8 +445,9 @@ pub struct OramController {
     last_any_pending: bool,
     /// Per-level dependency-blocked flags observed by the last tick.
     last_blocked_levels: [bool; SubOram::COUNT],
-    /// Whether the last tick had a ready node rejected by a full DRAM queue.
-    enqueue_blocked: bool,
+    /// Addresses of the operations the last tick's issue pass had ready but
+    /// a full channel queue turned away, one per rejected node.
+    rejected: Vec<u64>,
     /// Monotone clock counting countdown-bearing cycles: +1 per tick's
     /// step-2 sweep, +`total` per bulk skip. Node deadlines
     /// (`compute_expiry`) live in this clock's domain.
@@ -377,25 +469,34 @@ impl OramController {
             inflight: Vec::new(),
             by_request_id: IdMap::default(),
             last_at_level: [None; SubOram::COUNT],
-            outstanding_dram: IdMap::default(),
+            outstanding_dram: OutstandingReads::default(),
             next_dram_id: 0,
             finished: Vec::new(),
             stats: ControllerStats::default(),
             completion_buf: Vec::new(),
             last_any_pending: false,
             last_blocked_levels: [false; SubOram::COUNT],
-            enqueue_blocked: false,
+            rejected: Vec::new(),
             countdown_clock: 0,
             countdown_min: u64::MAX,
         }
     }
 
     /// Whether the last tick had a DRAM operation ready to issue but was
-    /// turned away by a full channel queue. While this holds, a DRAM command
-    /// issue frees queue space the controller may use on the very next
-    /// cycle, so the runner must not skip over it.
+    /// turned away by a full channel queue. [`OramController::retry_ready`]
+    /// tells whether such a retry can now succeed.
     pub fn enqueue_blocked(&self) -> bool {
-        self.enqueue_blocked
+        !self.rejected.is_empty()
+    }
+
+    /// Whether a channel that turned away one of the last tick's enqueues
+    /// can now accept. Only a DRAM column issue frees queue space, and a
+    /// rejected operation stays its node's next operation, so while this is
+    /// `false` a settled controller's next tick issues nothing new: every
+    /// ready node would be turned away again. Always `false` when the last
+    /// tick was not [enqueue-blocked](OramController::enqueue_blocked).
+    pub fn retry_ready(&self, dram: &DramSystem) -> bool {
+        self.rejected.iter().any(|&addr| dram.can_accept(addr))
     }
 
     /// The configuration this controller was built with.
@@ -420,38 +521,25 @@ impl OramController {
 
     /// Offers a plan to the controller. Returns `false` (plan handed back via
     /// the `Err`) when all PE columns are occupied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan has more than [`AccessPlan::MAX_NODES`] nodes
+    /// (such a plan is not well formed).
     pub fn try_submit(&mut self, plan: AccessPlan, cycle: u64) -> Result<(), AccessPlan> {
         if !self.can_accept() {
             return Err(plan);
         }
-        let nodes: Vec<NodeRuntime> = plan
-            .nodes
-            .iter()
-            .map(|n| NodeRuntime::new(&n.reads, &n.writes, n.compute_cycles))
-            .collect();
-        let mut predecessor = [None; SubOram::COUNT];
+        let mut req = InflightRequest::new(plan, cycle);
         for sub in SubOram::ALL {
-            if plan.nodes.iter().any(|n| n.sub == sub) {
-                predecessor[sub.index()] = self.last_at_level[sub.index()];
-                self.last_at_level[sub.index()] = Some(plan.request_id);
+            if req.level[sub.index()] != 0 {
+                req.predecessor[sub.index()] = self.last_at_level[sub.index()];
+                self.last_at_level[sub.index()] = Some(req.plan.request_id);
             }
         }
         self.by_request_id
-            .insert(plan.request_id, self.inflight.len());
+            .insert(req.plan.request_id, self.inflight.len());
         self.stats.requests_accepted += 1;
-        let incomplete = nodes.iter().filter(|n| !n.complete).count() as u16;
-        let pending_nodes = nodes.iter().filter(|n| n.has_pending_ops()).count() as u16;
-        let mut req = InflightRequest {
-            nodes,
-            submitted_at: cycle,
-            predecessor,
-            plan,
-            countdown: Vec::new(),
-            incomplete,
-            pending_cursor: 0,
-            pending_nodes,
-            dram_ops: 0,
-        };
         for i in 0..req.nodes.len() {
             if let Some(exp) = req.track_countdown(i, self.countdown_clock) {
                 self.countdown_min = self.countdown_min.min(exp);
@@ -474,47 +562,25 @@ impl OramController {
             return true; // predecessor already retired
         };
         let pred = &self.inflight[pred_idx];
+        let s = sub.index();
         match self.config.policy {
             SchedulePolicy::Serial => pred.ordering_complete(),
-            SchedulePolicy::PalermoMesh => pred.tree_handoff(sub, false),
+            // The predecessor's tree-modifying phases at this level have
+            // issued all of their traffic.
+            SchedulePolicy::PalermoMesh => pred.pending & pred.modifies[s] == 0,
             SchedulePolicy::PalermoSoftware => {
                 // Coarse software locks: wait for the predecessor's tree
-                // modifications to complete, and serialise the recursion
-                // entry (PosMap2) behind the predecessor's PosMap1 read —
-                // the mutex around the PosMap check described in §IV-C.
-                let base = pred.tree_handoff(sub, true);
+                // modifications (and its read of the level) to complete,
+                // and serialise the recursion entry (PosMap2) behind the
+                // predecessor's PosMap1 read — the mutex around the PosMap
+                // check described in §IV-C.
+                let mut mask = pred.modifies[s] | pred.read_path[s];
                 if sub == SubOram::Pos2 {
-                    base && pred.phase_complete(SubOram::Pos1, PhaseKind::ReadPath)
-                } else {
-                    base
+                    mask |= pred.read_path[SubOram::Pos1.index()];
                 }
+                pred.completed(mask)
             }
         }
-    }
-
-    /// Returns `true` when `node` of `req` may issue memory traffic.
-    fn node_ready(&self, req: &InflightRequest, node_idx: usize) -> bool {
-        let plan_node = &req.plan.nodes[node_idx];
-        // Intra-request dependencies.
-        if !plan_node.deps.iter().all(|d| req.node_state(*d).complete) {
-            return false;
-        }
-        // Inter-request dependency applies to the first read phase of each
-        // level (LoadMetadata for Ring/Palermo, ReadPath for the Path family).
-        let gate_phase = match plan_node.phase {
-            PhaseKind::LoadMetadata => true,
-            PhaseKind::ReadPath => {
-                // Path-family plans have no LoadMetadata node; gate ReadPath.
-                req.plan
-                    .node_id(plan_node.sub, PhaseKind::LoadMetadata)
-                    .is_none()
-            }
-            _ => false,
-        };
-        if gate_phase && !self.predecessor_allows(req, plan_node.sub) {
-            return false;
-        }
-        true
     }
 
     /// Advances the controller by one cycle: consumes DRAM completions,
@@ -530,23 +596,22 @@ impl OramController {
         let mut completions = std::mem::take(&mut self.completion_buf);
         dram.drain_completed_into(&mut completions);
         for completion in &completions {
-            if let Some((req_id, node_idx)) = self.outstanding_dram.remove(&completion.id.0) {
-                if let Some(&idx) = self.by_request_id.get(&req_id) {
-                    let req = &mut self.inflight[idx];
-                    let node = &mut req.nodes[node_idx as usize];
-                    if !completion.kind.eq(&palermo_dram::MemOpKind::Write) {
-                        node.outstanding_reads = node.outstanding_reads.saturating_sub(1);
-                        activity.completions_routed += 1;
-                        if node.outstanding_reads == 0 {
-                            // Min-merge so the conditional sweep below knows
-                            // whether this deadline is already due.
-                            if let Some(exp) =
-                                req.track_countdown(node_idx as usize, self.countdown_clock)
-                            {
-                                self.countdown_min = self.countdown_min.min(exp);
-                            }
-                        }
-                    }
+            let Some((req_id, n)) = self.outstanding_dram.remove(completion.id.0) else {
+                continue; // a posted write
+            };
+            let Some(&idx) = self.by_request_id.get(&req_id) else {
+                continue;
+            };
+            let req = &mut self.inflight[idx];
+            let node = &mut req.nodes[n as usize];
+            node.outstanding_reads = node.outstanding_reads.saturating_sub(1);
+            req.outstanding_reads = req.outstanding_reads.saturating_sub(1);
+            activity.completions_routed += 1;
+            if node.outstanding_reads == 0 {
+                // Min-merge so the conditional sweep below knows whether
+                // this deadline is already due.
+                if let Some(exp) = req.track_countdown(n as usize, self.countdown_clock) {
+                    self.countdown_min = self.countdown_min.min(exp);
                 }
             }
         }
@@ -558,103 +623,86 @@ impl OramController {
         //    Deadlines are absolute in the countdown clock's domain, so a
         //    tick where the running minimum lies in the future provably
         //    completes nothing and skips the sweep outright. When the sweep
-        //    does run, a node completing may make later nodes (dependencies
-        //    always point backwards) countdown-eligible within the same
-        //    cycle, exactly as the per-cycle reference's in-order sweep did:
-        //    `track_countdown` inserts them behind the current position, so
-        //    they are reached — completed or counted — in this same pass,
-        //    which is why the sweep rebuilds the exact countdown minimum.
-        //    (Mid-sweep tracks pass `clock - 1` as the deadline base: the
-        //    reference decremented such nodes in this very sweep.)
+        //    does run, a node completing may make its dependents (which
+        //    always sit later in the plan) countdown-eligible within the
+        //    same cycle, exactly as the per-cycle reference's in-order sweep
+        //    did: they join the set of bits still to visit, so they are
+        //    reached — completed or counted — in this same pass, which is
+        //    why the sweep rebuilds the exact countdown minimum. (Mid-sweep
+        //    tracks pass `clock - 1` as the deadline base: the reference
+        //    decremented such nodes in this very sweep.)
         self.countdown_clock += 1;
         let clock = self.countdown_clock;
         if self.countdown_min <= clock {
             let mut countdown_min = u64::MAX;
             for req in &mut self.inflight {
-                if req.countdown.is_empty() {
-                    continue;
-                }
-                let mut i = 0;
-                while i < req.countdown.len() {
-                    let n_idx = req.countdown[i] as usize;
-                    let node = &mut req.nodes[n_idx];
-                    if node.compute_expiry > clock {
-                        countdown_min = countdown_min.min(node.compute_expiry);
-                        i += 1;
+                let mut rest = req.counting;
+                while rest != 0 {
+                    let n = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let expiry = req.nodes[n].compute_expiry;
+                    if expiry > clock {
+                        countdown_min = countdown_min.min(expiry);
                         continue;
                     }
-                    node.complete = true;
-                    node.in_countdown = false;
-                    req.incomplete -= 1;
-                    req.countdown.remove(i);
+                    req.counting &= !bit(n);
                     activity.nodes_completed += 1;
                     // The completion may satisfy the last dependency of an
-                    // otherwise-finished node; start its countdown.
-                    for d in (n_idx + 1)..req.nodes.len() {
-                        req.track_countdown(d, clock - 1);
-                    }
+                    // otherwise-finished dependent; its countdown starts and
+                    // it joins this sweep.
+                    let counting = req.counting;
+                    req.complete_node(n, clock - 1);
+                    rest |= req.counting & !counting;
                 }
             }
             self.countdown_min = countdown_min;
         }
 
-        // 3. Issue ready memory operations, oldest request first.
+        // 3. Issue ready memory operations, oldest request first, and within
+        //    a request in plan order. Readiness is a mask expression; the
+        //    blocked-level flags the stall rule reads cover only the nodes
+        //    the walk reaches before the issue width runs out.
+        let width = self.config.issue_width;
         let mut issued_this_cycle = 0usize;
         let mut blocked_levels = [false; SubOram::COUNT];
         let mut any_pending = false;
-        let mut enqueue_blocked = false;
         let mut width_limited = false;
         let mut blocked_any = false;
         let mut leftover_pending = false;
+        self.rejected.clear();
         for idx in 0..self.inflight.len() {
-            if issued_this_cycle >= self.config.issue_width {
+            if issued_this_cycle >= width {
                 width_limited = true;
                 break;
             }
-            // A fully-drained request contributes nothing to issue, stall, or
-            // blocked-level state while it waits on completions or compute;
-            // skip its node scan entirely.
-            if self.inflight[idx].pending_nodes == 0 {
+            let req = &self.inflight[idx];
+            let pending = req.pending;
+            if pending == 0 {
+                // Fully drained: nothing to issue, stall on or block.
                 continue;
             }
-            // Per-node pending work is monotone, so the drained prefix can
-            // be remembered and skipped.
-            {
-                let req = &mut self.inflight[idx];
-                let mut c = req.pending_cursor as usize;
-                while c < req.nodes.len() && !req.nodes[c].has_pending_ops() {
-                    c += 1;
+            any_pending = true;
+            // The predecessor sits earlier in `inflight`, so this sees the
+            // hand-offs its issues made earlier in this same tick.
+            let mut ready = pending & !req.unmet;
+            for g in bits(ready & req.gate) {
+                if !self.predecessor_allows(req, req.plan.nodes[g].sub) {
+                    ready &= !bit(g);
                 }
-                req.pending_cursor = c as u16;
             }
-            for node_idx in
-                (self.inflight[idx].pending_cursor as usize)..self.inflight[idx].plan.nodes.len()
-            {
-                if issued_this_cycle >= self.config.issue_width {
-                    width_limited = true;
-                    break;
-                }
-                if !self.inflight[idx].nodes[node_idx].has_pending_ops() {
-                    continue;
-                }
-                any_pending = true;
-                let ready = self.node_ready(&self.inflight[idx], node_idx);
-                let sub = self.inflight[idx].plan.nodes[node_idx].sub;
-                if !ready {
-                    blocked_levels[sub.index()] = true;
-                    blocked_any = true;
-                    continue;
-                }
+            let mut reached = pending;
+            let req = &mut self.inflight[idx];
+            for n in bits(ready) {
                 // Issue as many of this node's operations as the memory
                 // controller will take this cycle.
-                let req = &mut self.inflight[idx];
-                let node = &mut req.nodes[node_idx];
+                let plan_node = &req.plan.nodes[n];
+                let node = &mut req.nodes[n];
                 let mut rejected = false;
-                while issued_this_cycle < self.config.issue_width {
-                    let (addr, is_write) = if node.reads_issued < node.pending_reads.len() {
-                        (node.pending_reads[node.reads_issued], false)
-                    } else if node.writes_issued < node.pending_writes.len() {
-                        (node.pending_writes[node.writes_issued], true)
+                while issued_this_cycle < width {
+                    let (addr, is_write) = if node.reads_issued < plan_node.reads.len() {
+                        (plan_node.reads[node.reads_issued], false)
+                    } else if node.writes_issued < plan_node.writes.len() {
+                        (plan_node.writes[node.writes_issued], true)
                     } else {
                         break;
                     };
@@ -665,7 +713,7 @@ impl OramController {
                         MemRequest::read(dram_id, addr)
                     };
                     if !dram.try_enqueue(mem_req) {
-                        enqueue_blocked = true;
+                        self.rejected.push(addr);
                         rejected = true;
                         break;
                     }
@@ -678,31 +726,53 @@ impl OramController {
                     } else {
                         node.reads_issued += 1;
                         node.outstanding_reads += 1;
+                        req.outstanding_reads += 1;
                         self.stats.dram_reads_issued += 1;
                         self.outstanding_dram
-                            .insert(dram_id, (req.plan.request_id, node_idx as u32));
-                    }
-                    if !node.has_pending_ops() {
-                        node.all_issued = true;
-                        req.pending_nodes -= 1;
-                        break;
+                            .insert(dram_id, (req.plan.request_id, n as u32));
                     }
                 }
-                // Ready work left over because the issue width ran out mid-
-                // node (not because DRAM pushed back) means the controller
-                // will issue again next cycle: the tick cannot settle.
-                if req.nodes[node_idx].has_pending_ops() {
+                if node.reads_issued < plan_node.reads.len()
+                    || node.writes_issued < plan_node.writes.len()
+                {
+                    // Ready work left over because the issue width ran out
+                    // mid-node (not because DRAM pushed back) means the
+                    // controller will issue again next cycle: the tick
+                    // cannot settle.
                     leftover_pending = true;
                     if !rejected {
                         width_limited = true;
                     }
-                } else if req.nodes[node_idx].outstanding_reads == 0 {
-                    // A node fully issued with nothing outstanding (posted
-                    // writes only) starts its compute countdown next cycle;
-                    // the clock already counted this tick's sweep, so the
-                    // current value is the correct deadline base.
-                    if let Some(exp) = req.track_countdown(node_idx, self.countdown_clock) {
-                        self.countdown_min = self.countdown_min.min(exp);
+                } else {
+                    req.pending &= !bit(n);
+                    if node.outstanding_reads == 0 {
+                        // A node fully issued with nothing outstanding
+                        // (posted writes only) starts its compute countdown
+                        // next cycle; the clock already counted this tick's
+                        // sweep, so the current value is the correct base.
+                        if let Some(exp) = req.track_countdown(n, self.countdown_clock) {
+                            self.countdown_min = self.countdown_min.min(exp);
+                        }
+                    }
+                }
+                if issued_this_cycle >= width {
+                    // The walk stops at node `n + 1`: only the pending
+                    // nodes up to `n` count as reached, and the pass is
+                    // width-limited if the plan has any node after `n`,
+                    // pending or not.
+                    reached &= u64::MAX >> (63 - n);
+                    if n + 1 < req.nodes.len() {
+                        width_limited = true;
+                    }
+                    break;
+                }
+            }
+            let blocked = reached & !ready;
+            if blocked != 0 {
+                blocked_any = true;
+                for sub in SubOram::ALL {
+                    if blocked & req.level[sub.index()] != 0 {
+                        blocked_levels[sub.index()] = true;
                     }
                 }
             }
@@ -725,36 +795,34 @@ impl OramController {
         self.stats.issued_ops += issued_this_cycle as u64;
         activity.ops_issued = issued_this_cycle as u64;
         // Remember the stall-accounting inputs: they stay frozen through any
-        // skipped cycles, so skip_cycles can replay the rule exactly.
+        // skipped cycles, so skip_cycles_window can replay the rule exactly.
         self.last_any_pending = any_pending;
         self.last_blocked_levels = blocked_levels;
-        self.enqueue_blocked = enqueue_blocked;
 
-        // 5. Retire finished requests.
+        // 5. Retire finished requests; the requests behind a retired one
+        //    move down one slot.
         let mut idx = 0;
         while idx < self.inflight.len() {
-            if self.inflight[idx].is_finished() {
-                let req = self.inflight.remove(idx);
-                self.by_request_id.remove(&req.plan.request_id);
-                self.stats.requests_finished += 1;
-                activity.requests_retired += 1;
-                self.finished.push(FinishedRequest {
-                    request_id: req.plan.request_id,
-                    submitted_at: req.submitted_at,
-                    finished_at: cycle,
-                    is_dummy: req.plan.is_dummy,
-                    dram_ops: req.dram_ops,
-                });
-            } else {
+            if !self.inflight[idx].is_finished() {
                 idx += 1;
+                continue;
             }
-        }
-        // Rebuild the index map after removals (indices shifted).
-        if !self.finished.is_empty() {
-            self.by_request_id.clear();
-            for (i, req) in self.inflight.iter().enumerate() {
-                self.by_request_id.insert(req.plan.request_id, i);
+            let req = self.inflight.remove(idx);
+            self.by_request_id.remove(&req.plan.request_id);
+            for later in &self.inflight[idx..] {
+                if let Some(i) = self.by_request_id.get_mut(&later.plan.request_id) {
+                    *i -= 1;
+                }
             }
+            self.stats.requests_finished += 1;
+            activity.requests_retired += 1;
+            self.finished.push(FinishedRequest {
+                request_id: req.plan.request_id,
+                submitted_at: req.submitted_at,
+                finished_at: cycle,
+                is_dummy: req.plan.is_dummy,
+                dram_ops: req.dram_ops,
+            });
         }
 
         // 6. Settling: decide whether the controller can possibly act next
@@ -785,8 +853,8 @@ impl OramController {
     ///
     /// A node whose deadline stands `k` clock steps ahead after a quiet tick
     /// completes during the tick at `now + k - 1`; every earlier tick merely
-    /// advances the clock, which [`OramController::skip_cycles`] replays in
-    /// bulk.
+    /// advances the clock, which [`OramController::skip_cycles_window`]
+    /// replays in bulk.
     pub fn next_wakeup(&self, now: u64) -> Option<u64> {
         debug_assert_eq!(
             self.countdown_min,
@@ -810,41 +878,31 @@ impl OramController {
     fn debug_recompute_countdown_min(&self) -> u64 {
         let mut min = u64::MAX;
         for req in &self.inflight {
-            for &n in &req.countdown {
-                min = min.min(req.nodes[n as usize].compute_expiry);
+            for n in bits(req.counting) {
+                min = min.min(req.nodes[n].compute_expiry);
             }
         }
         min
     }
 
-    /// Accounts `skipped` provably-quiet cycles in bulk: cycle and stall
+    /// Accounts `total` provably-quiet cycles in bulk, of which `stalled`
+    /// had a DRAM queue depth below the stall threshold: cycle and stall
     /// counters advance exactly as if [`OramController::tick`] had run
-    /// `skipped` times with no completions, no issues and no node finishing,
-    /// and every running compute countdown decrements by `skipped`.
+    /// `total` times with no completions, no new issues and no node
+    /// finishing, and every running compute countdown decrements by
+    /// `total`. The settled-window stepper replays many skip segments per
+    /// window (one per interior DRAM command), and the only per-segment
+    /// input is the queue depth — everything else (`last_any_pending`, the
+    /// blocked-level mask, every countdown) is frozen, so segments fold into
+    /// two counters and one clock advance.
     ///
-    /// Callers must only skip cycles strictly before both
-    /// [`OramController::next_wakeup`] and the DRAM model's next event, and
-    /// only after a tick that reported no [`TickActivity`]. `dram_queued` is
-    /// the (frozen) total DRAM queue depth used by the stall-accounting rule.
-    pub fn skip_cycles(&mut self, skipped: u64, dram_queued: usize) {
-        let stalled = if dram_queued < 4 { skipped } else { 0 };
-        self.skip_cycles_window(skipped, stalled);
-    }
-
-    /// The windowed bulk form of [`OramController::skip_cycles`]: accounts
-    /// `total` quiet cycles at once, of which `stalled` had a DRAM queue
-    /// depth below the stall threshold. The settled-window stepper replays
-    /// many skip segments per window (one per interior DRAM command), and
-    /// the only per-segment input is the queue depth — everything else
-    /// (`last_any_pending`, the blocked-level mask, every countdown) is
-    /// frozen, so segments fold into two counters and one clock advance.
-    ///
-    /// Callers accumulate `stalled` per segment with the same `< 4` queue
-    /// test [`OramController::tick`] applies, then call this once; the
-    /// countdown safety precondition is that `total` stays strictly below
-    /// every running countdown — deadlines are absolute, so the whole skip
-    /// is one addition to the countdown clock, bounded by the nearest
-    /// deadline.
+    /// Callers must only skip cycles after a settled tick, strictly before
+    /// [`OramController::next_wakeup`], the DRAM model's next completion and
+    /// the first DRAM issue that makes [`OramController::retry_ready`]
+    /// true. They accumulate `stalled` per segment with the same `< 4` queue
+    /// test [`OramController::tick`] applies, then call this once; deadlines
+    /// are absolute, so the whole skip is one addition to the countdown
+    /// clock, bounded by the nearest deadline.
     pub fn skip_cycles_window(&mut self, total: u64, stalled: u64) {
         debug_assert!(stalled <= total);
         self.stats.cycles += total;
@@ -1090,6 +1148,120 @@ mod tests {
         assert!(stats.sync_stall_cycles > 0, "serial execution must stall");
         assert_eq!(stats.requests_accepted, 2);
         assert_eq!(stats.requests_finished, 2);
+    }
+
+    /// `count` distinct block addresses that map to DRAM channel `channel`.
+    fn channel_addrs(config: DramConfig, channel: u32, count: usize) -> Vec<u64> {
+        let mapper = palermo_dram::address::AddressMapper::new(config);
+        (0..)
+            .map(|i: u64| i * 64)
+            .filter(|&a| mapper.map(a).channel == channel)
+            .take(count)
+            .collect()
+    }
+
+    /// A plan of independent Data-level read nodes, one per address list.
+    fn read_nodes_plan(id: u64, nodes: &[Vec<u64>]) -> AccessPlan {
+        let mut b = AccessPlanBuilder::new(id, PhysAddr::new(0), OramOp::Read);
+        for reads in nodes {
+            b.push(
+                SubOram::Data,
+                PhaseKind::ReadPath,
+                reads.clone(),
+                vec![],
+                vec![],
+                0,
+            );
+        }
+        b.build()
+    }
+
+    #[test]
+    fn retry_waits_for_the_channel_that_turned_the_enqueue_away() {
+        let mut config = DramConfig::ddr4_3200_quad_channel();
+        config.queue_capacity = 2;
+        let mut dram = DramSystem::new(config);
+        let ch0 = channel_addrs(config, 0, 3);
+        let ch1 = channel_addrs(config, 1, 2);
+        // Channel 1 fills first, so it also frees its first slot first.
+        for (i, &a) in ch1.iter().enumerate() {
+            assert!(dram.try_enqueue(MemRequest::read(1_000 + i as u64, a)));
+        }
+        for _ in 0..4 {
+            dram.tick();
+        }
+        for (i, &a) in ch0[..2].iter().enumerate() {
+            assert!(dram.try_enqueue(MemRequest::read(2_000 + i as u64, a)));
+        }
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        ctrl.try_submit(read_nodes_plan(0, &[vec![ch0[2]]]), dram.cycle())
+            .unwrap();
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 0);
+        assert!(activity.settled);
+        assert!(ctrl.enqueue_blocked());
+        assert!(!ctrl.retry_ready(&dram));
+
+        let mut other_channel_freed = false;
+        while !dram.can_accept(ch0[2]) {
+            dram.tick();
+            assert!(dram.cycle() < 10_000, "channel 0 never freed a slot");
+            if dram.can_accept(ch1[0]) && !dram.can_accept(ch0[2]) {
+                other_channel_freed = true;
+                assert!(
+                    !ctrl.retry_ready(&dram),
+                    "a slot in a channel that rejected nothing must not wake the retry"
+                );
+            }
+        }
+        assert!(other_channel_freed, "channel 1 never freed a slot first");
+        assert!(ctrl.retry_ready(&dram));
+        // The retry then goes through.
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 1);
+        assert!(!ctrl.enqueue_blocked());
+        assert!(!ctrl.retry_ready(&dram));
+    }
+
+    #[test]
+    fn width_running_out_on_the_last_node_still_settles() {
+        let config = ControllerConfig {
+            policy: SchedulePolicy::PalermoMesh,
+            pe_columns: 8,
+            issue_width: 2,
+        };
+        let two_reads = |i: u64| vec![scattered_base(i), scattered_base(i) + 64];
+
+        // The width runs out on the last node of the last request: nothing
+        // is left for the next cycle, so the tick settles.
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(config);
+        ctrl.try_submit(read_nodes_plan(0, &[two_reads(1)]), 0)
+            .unwrap();
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 2);
+        assert!(activity.settled);
+
+        // A node after the one that used up the width — even one with
+        // nothing left to issue — means the issue pass stopped early.
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(config);
+        ctrl.try_submit(read_nodes_plan(0, &[two_reads(1), vec![]]), 0)
+            .unwrap();
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 2);
+        assert!(!activity.settled);
+
+        // So does a later request.
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(config);
+        ctrl.try_submit(read_nodes_plan(0, &[two_reads(1)]), 0)
+            .unwrap();
+        ctrl.try_submit(read_nodes_plan(1, &[two_reads(2)]), 0)
+            .unwrap();
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 2);
+        assert!(!activity.settled);
     }
 
     #[test]

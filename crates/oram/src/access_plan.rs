@@ -114,6 +114,11 @@ pub struct AccessPlan {
 }
 
 impl AccessPlan {
+    /// The most nodes a well-formed plan may hold. The controller tracks a
+    /// request's node states in `u64` masks, one bit per node; the protocol
+    /// lowering emits at most 12 (four phases on each of three levels).
+    pub const MAX_NODES: usize = 64;
+
     /// Total DRAM reads across all phases.
     pub fn total_reads(&self) -> usize {
         self.nodes.iter().map(|n| n.reads.len()).sum()
@@ -139,14 +144,17 @@ impl AccessPlan {
         self.node(sub, phase).map(|n| n.id)
     }
 
-    /// Verifies structural well-formedness: ids match positions and all
+    /// Verifies structural well-formedness: at most
+    /// [`AccessPlan::MAX_NODES`] nodes, ids match positions and all
     /// dependencies point to earlier nodes (so the DAG is acyclic by
     /// construction). Returns `false` if any check fails.
     pub fn is_well_formed(&self) -> bool {
-        self.nodes
-            .iter()
-            .enumerate()
-            .all(|(i, n)| n.id.0 as usize == i && n.deps.iter().all(|d| (d.0 as usize) < i))
+        self.nodes.len() <= Self::MAX_NODES
+            && self
+                .nodes
+                .iter()
+                .enumerate()
+                .all(|(i, n)| n.id.0 as usize == i && n.deps.iter().all(|d| (d.0 as usize) < i))
     }
 }
 
@@ -330,6 +338,28 @@ mod tests {
             }],
         };
         assert!(!plan.is_well_formed());
+    }
+
+    #[test]
+    fn plans_beyond_the_node_limit_are_malformed() {
+        let chain = |len: usize| {
+            let mut b = AccessPlanBuilder::new(0, PhysAddr::new(0), OramOp::Read);
+            let mut prev = None;
+            for i in 0..len {
+                let deps = prev.into_iter().collect();
+                prev = Some(b.push(
+                    SubOram::Data,
+                    PhaseKind::ReadPath,
+                    vec![i as u64 * 64],
+                    vec![],
+                    deps,
+                    0,
+                ));
+            }
+            b.plan
+        };
+        assert!(chain(AccessPlan::MAX_NODES).is_well_formed());
+        assert!(!chain(AccessPlan::MAX_NODES + 1).is_well_formed());
     }
 
     #[test]

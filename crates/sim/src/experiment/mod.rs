@@ -44,7 +44,9 @@ pub mod results;
 pub use executor::{Executor, SerialExecutor, ThreadPoolExecutor};
 pub use results::{ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
 
-use crate::runner::{run_with_protocol, run_workload_spec, CalendarStepper, RunMetrics};
+use crate::runner::{
+    run_with_protocol, run_workload_spec_stepped, CalendarStepper, RunMetrics, Stepper,
+};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_controller::ControllerConfig;
@@ -134,15 +136,26 @@ impl RunSpec {
     ///
     /// [`OramError::WorkloadStalled`]: palermo_oram::error::OramError::WorkloadStalled
     pub fn execute(&self) -> OramResult<RunMetrics> {
+        self.execute_stepped(&CalendarStepper)
+    }
+
+    /// [`RunSpec::execute`] with an explicit clock-advance strategy: passing
+    /// [`ReferenceStepper`](crate::runner::ReferenceStepper) checks a custom
+    /// protocol against the per-cycle oracle.
+    ///
+    /// # Errors
+    ///
+    /// Propagates errors as [`RunSpec::execute`] does.
+    pub fn execute_stepped(&self, stepper: &dyn Stepper) -> OramResult<RunMetrics> {
         match &self.custom {
             Some(custom) => run_with_protocol(
                 self.scheme,
                 custom.clone(),
                 &self.workload,
                 &self.config,
-                &CalendarStepper,
+                stepper,
             ),
-            None => run_workload_spec(self.scheme, &self.workload, &self.config),
+            None => run_workload_spec_stepped(self.scheme, &self.workload, &self.config, stepper),
         }
     }
 
@@ -387,6 +400,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_workload_spec;
 
     fn tiny() -> SystemConfig {
         let mut cfg = SystemConfig::small_for_tests();

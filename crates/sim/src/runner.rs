@@ -561,9 +561,13 @@ pub trait Stepper: Sync {
     /// Possibly advance time after one reference iteration. `quiescent` is
     /// `true` only when the iteration proved the system state frozen until
     /// the next predictable event: the controller tick settled (no retire,
-    /// issue pass fully drained), the DRAM tick produced no completions, no
-    /// DRAM-rejected enqueue could retry against freed queue space, and the
-    /// runner will not stage a new plan next iteration.
+    /// issue pass not cut short by the issue width), the DRAM tick produced
+    /// no completions, no channel that turned away one of the tick's
+    /// enqueues can accept again ([`OramController::retry_ready`] is
+    /// `false`), and the runner will not stage a new plan next iteration.
+    /// While that holds, the controller's next tick is inert until a DRAM
+    /// completion, a compute-countdown expiry, a DRAM issue that makes
+    /// `retry_ready` true, or an external event.
     ///
     /// `external_next` is the earliest cycle at which a runner-level event
     /// outside the two clock models can change the system — today, the next
@@ -602,22 +606,25 @@ impl Stepper for ReferenceStepper {
 /// traffic is still draining it does not hand control back after a single
 /// jump. It keeps executing DRAM event ticks *inside* `advance_idle` —
 /// replaying the controller's per-cycle accounting in bulk between them —
-/// until something the controller must react to happens (a completion, a
-/// compute-countdown expiry, or an open-loop arrival). Backed by the DRAM
-/// system's calendar queue for the next-event lookups, hence the name.
+/// until something the controller must react to happens: a completion, a
+/// compute-countdown expiry, an open-loop arrival, or a DRAM issue that
+/// frees a slot in a channel that turned away one of the controller's
+/// enqueues ([`OramController::retry_ready`]). Backed by the DRAM system's
+/// calendar queue for the next-event lookups, hence the name.
 ///
 /// Correctness rests on the window's freeze argument: with the controller
-/// settled, no pending completions, nothing to stage and the enqueue path
-/// unblocked, every controller readiness predicate (dependency counts,
-/// predecessor gating, retirement, submission capacity) is a pure function
-/// of state only completions or countdown expiries can change. Interior
-/// DRAM ticks issue commands but complete nothing, so the reference loop
-/// would have run one inert controller tick per cycle — exactly what
-/// [`OramController::skip_cycles`] replays, segmented at each interior DRAM
-/// tick so the stall-accounting rule always sees the queue depth the
-/// reference controller tick would have seen. Queue-full retries are the
-/// one exception (a freed slot un-blocks the controller without a
-/// completion), so a blocked enqueue falls back to the single-jump move.
+/// settled, no pending completions and nothing to stage, every controller
+/// readiness predicate (dependency masks, predecessor gating, retirement,
+/// submission capacity) is a pure function of state only completions or
+/// countdown expiries can change, and every ready node the last tick left
+/// pending was turned away by a full channel queue. Such a node's next
+/// operation stays the one that was rejected, and only a DRAM column issue
+/// frees queue space, so until `retry_ready` turns true the retry would be
+/// rejected again. Interior DRAM ticks issue commands but complete nothing,
+/// so the reference loop would have run one inert controller tick per
+/// cycle — exactly what [`OramController::skip_cycles_window`] replays,
+/// segmented at each interior DRAM tick so the stall-accounting rule always
+/// sees the queue depth the reference controller tick would have seen.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CalendarStepper;
 
@@ -640,27 +647,12 @@ impl Stepper for CalendarStepper {
             .next_wakeup(dram.cycle())
             .unwrap_or(u64::MAX)
             .min(external_next.unwrap_or(u64::MAX));
-        if controller.enqueue_blocked() {
-            // A DRAM issue can free the slot a rejected enqueue retries
-            // into: the retry cycle is the DRAM's next event, so jump to it
-            // and let the main loop run the real iteration there.
-            let now = dram.cycle();
-            let next = match dram.next_event_cycle() {
-                Some(e) => e.min(wakeup),
-                None => wakeup,
-            };
-            if next != u64::MAX && next > now {
-                controller.skip_cycles(next - now, dram.queued());
-                dram.skip_cycles(next - now);
-            }
-            return;
-        }
         // Controller-side accounting for the whole window folds into two
         // counters: total quiet cycles, and the subset with a DRAM queue
         // depth below the stall threshold (the only per-segment input the
         // stall rule reads — everything else is frozen). One
         // [`OramController::skip_cycles_window`] call flushes them, so the
-        // countdown lists are walked once per window instead of once per
+        // countdown clock advances once per window instead of once per
         // interior DRAM command.
         let mut total = 0u64;
         let mut stalled = 0u64;
@@ -698,8 +690,9 @@ impl Stepper for CalendarStepper {
                 stalled += seg;
             }
             let result = dram.skip_to_and_tick(dram_next);
-            if result.completions {
-                // The controller routes these on the next real tick.
+            if result.completions || controller.retry_ready(dram) {
+                // The controller routes the completions, or retries the
+                // turned-away enqueue, on the next real tick.
                 controller.skip_cycles_window(total, stalled);
                 return;
             }
@@ -1156,7 +1149,7 @@ or raise protected_bytes)",
         let quiescent = ctrl_activity.settled
             && !dram_result.completions
             && !will_stage
-            && (!dram_result.issued || !controller.enqueue_blocked());
+            && !controller.retry_ready(&dram);
         // Pending arrivals bound the skip while the run still submits
         // (`arrivals_advanced_to` rather than the post-tick cycle, so an
         // arrival landing on the current cycle forces a single step). After

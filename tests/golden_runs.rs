@@ -29,6 +29,18 @@ const SPECS: [&str; 4] = [
     "shard:2:hash:random",
 ];
 
+/// Single rows outside the grid, appended after it so the grid rows keep
+/// their positions: a Palermo open-loop run offered more than it can serve
+/// (the controller runs at full occupancy with its DRAM queues full), and a
+/// sharded PalermoPrefetch run on a workload whose prefetch length is > 1.
+const EXTRA: [(Scheme, &str); 2] = [
+    (
+        Scheme::Palermo,
+        "open:poisson:5.0:mix:rr:redis*2+llm+stream",
+    ),
+    (Scheme::PalermoPrefetch, "shard:2:hash:mcf"),
+];
+
 /// FNV-1a over the little-endian bytes of each value.
 fn fnv1a64(values: &[u64]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
@@ -87,16 +99,22 @@ fn custom_run(config: &SystemConfig) -> RunMetrics {
 fn regenerate() -> String {
     let config = SystemConfig::small_for_tests();
     let mut out = String::new();
-    for name in SPECS {
+    let run = |out: &mut String, scheme: Scheme, name: &str| {
         let spec = WorkloadSpec::from_name(name).unwrap();
+        let m = run_workload_spec(scheme, &spec, &config)
+            .unwrap_or_else(|e| panic!("{scheme}/{name} failed: {e}"));
+        writeln!(out, "{}", fingerprint(&format!("{scheme}/{name}"), &m)).unwrap();
+    };
+    for name in SPECS {
         for scheme in SCHEMES {
-            let m = run_workload_spec(scheme, &spec, &config)
-                .unwrap_or_else(|e| panic!("{scheme}/{name} failed: {e}"));
-            writeln!(out, "{}", fingerprint(&format!("{scheme}/{name}"), &m)).unwrap();
+            run(&mut out, scheme, name);
         }
     }
     let custom = custom_run(&config);
     writeln!(out, "{}", fingerprint("custom:PrORAM/stream/pf=4", &custom)).unwrap();
+    for (scheme, name) in EXTRA {
+        run(&mut out, scheme, name);
+    }
     out
 }
 

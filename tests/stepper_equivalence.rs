@@ -9,6 +9,7 @@
 //! latency — for every (scheme, workload) pair of the paper's grid under the
 //! `small_for_tests` configuration.
 
+use palermo::sim::experiment::{CustomProtocol, RunSpec};
 use palermo::sim::runner::{
     run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
@@ -95,20 +96,43 @@ fn tiny_dram_queues_stay_cycle_exact_under_time_skipping() {
     }
 }
 
+/// The Palermo-family schemes, whose controllers keep many requests in
+/// flight: their DRAM queues sit full, so the enqueue-blocked retry path
+/// (and the stepper's wake-up on a freed slot) carries most of the run.
+const PALERMO_FAMILY: [Scheme; 3] = [Scheme::Palermo, Scheme::PalermoSw, Scheme::PalermoPrefetch];
+
 /// Composed workload specs keep the equivalence contract: an `open:` spec
 /// (arrival process + admission queue wrapped around the closed-loop core)
 /// produces byte-identical [`palermo::sim::runner::RunMetrics`] under the
-/// per-cycle reference and the settled-window calendar core.
+/// per-cycle reference and the settled-window calendar core. The Palermo
+/// family also runs the benchmark's open-loop mix and a rate well past its
+/// capacity at this configuration (~3 req/kcycle), where the controller
+/// runs at full occupancy.
 #[test]
 fn calendar_core_is_cycle_exact_for_open_loop_specs() {
     let cfg = SystemConfig::small_for_tests();
-    for name in ["open:poisson:0.05:random", "open:bursty:0.2:2000:6000:mcf"] {
+    let light = ["open:poisson:0.05:random", "open:bursty:0.2:2000:6000:mcf"];
+    let saturated = [
+        "open:poisson:1.0:mix:rr:redis*2+llm+stream",
+        "open:poisson:5.0:mix:rr:redis*2+llm+stream",
+    ];
+    let runs =
+        light
+            .iter()
+            .map(|&name| (Scheme::RingOram, name))
+            .chain(PALERMO_FAMILY.iter().flat_map(|&scheme| {
+                light
+                    .iter()
+                    .chain(&saturated)
+                    .map(move |&name| (scheme, name))
+            }));
+    for (scheme, name) in runs {
         let spec = WorkloadSpec::from_name(name).unwrap();
-        let reference = run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &ReferenceStepper)
-            .unwrap_or_else(|e| panic!("reference run failed for {name}: {e}"));
-        let calendar = run_workload_spec_stepped(Scheme::RingOram, &spec, &cfg, &CalendarStepper)
-            .unwrap_or_else(|e| panic!("calendar run failed for {name}: {e}"));
-        assert_eq!(reference, calendar, "{name}: RunMetrics diverged");
+        let reference = run_workload_spec_stepped(scheme, &spec, &cfg, &ReferenceStepper)
+            .unwrap_or_else(|e| panic!("reference run failed for {scheme}/{name}: {e}"));
+        let calendar = run_workload_spec_stepped(scheme, &spec, &cfg, &CalendarStepper)
+            .unwrap_or_else(|e| panic!("calendar run failed for {scheme}/{name}: {e}"));
+        assert_eq!(reference, calendar, "{scheme}/{name}: RunMetrics diverged");
     }
 }
 
@@ -119,21 +143,69 @@ fn calendar_core_is_cycle_exact_for_open_loop_specs() {
 #[test]
 fn sharded_specs_are_cycle_exact_under_the_calendar_core_on_both_executors() {
     let cfg = SystemConfig::small_for_tests();
-    let spec = WorkloadSpec::from_name("shard:2:hash:random").unwrap();
-    let system = ShardedSystem::new(Scheme::RingOram, &spec, &cfg).unwrap();
-
-    let reference = ShardStepper::run(&SerialShardStepper, &system, &ReferenceStepper).unwrap();
-    let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
-    let pooled = ShardStepper::run(&PooledShardStepper::new(2), &system, &CalendarStepper).unwrap();
-
-    assert_eq!(
-        reference, serial,
-        "shard:2: calendar core diverged from the per-cycle reference"
+    let runs = std::iter::once((Scheme::RingOram, "shard:2:hash:random")).chain(
+        PALERMO_FAMILY.iter().flat_map(|&scheme| {
+            [
+                (scheme, "shard:2:hash:random"),
+                (scheme, "shard:2:hash:mcf"),
+            ]
+        }),
     );
-    assert_eq!(
-        serial, pooled,
-        "shard:2: pooled executor diverged from the serial executor"
-    );
+    for (scheme, name) in runs {
+        let spec = WorkloadSpec::from_name(name).unwrap();
+        let system = ShardedSystem::new(scheme, &spec, &cfg).unwrap();
+
+        let reference = ShardStepper::run(&SerialShardStepper, &system, &ReferenceStepper).unwrap();
+        let serial = ShardStepper::run(&SerialShardStepper, &system, &CalendarStepper).unwrap();
+        let pooled =
+            ShardStepper::run(&PooledShardStepper::new(2), &system, &CalendarStepper).unwrap();
+
+        assert_eq!(
+            reference, serial,
+            "{scheme}/{name}: calendar core diverged from the per-cycle reference"
+        );
+        assert_eq!(
+            serial, pooled,
+            "{scheme}/{name}: pooled executor diverged from the serial executor"
+        );
+    }
+}
+
+/// A starved controller keeps the equivalence contract: a custom Palermo
+/// protocol whose issue port takes only one or two DRAM operations per
+/// cycle, over DRAM queues of two entries per channel. Ticks that stop at
+/// the issue width, ticks turned away by a full queue and the retries a
+/// freed slot allows all interleave, and the calendar core must wake on
+/// exactly the cycles the per-cycle reference acts on.
+#[test]
+fn starved_palermo_controller_stays_cycle_exact() {
+    let mut cfg = SystemConfig::small_for_tests();
+    cfg.dram.queue_capacity = 2;
+    for issue_width in [1, 2] {
+        let mut controller = Scheme::Palermo.controller_config(cfg.pe_columns);
+        controller.issue_width = issue_width;
+        let hierarchy = Scheme::Palermo
+            .hierarchy_config(
+                cfg.hierarchy_params().unwrap(),
+                cfg.seed,
+                1,
+                cfg.stash_capacity,
+            )
+            .unwrap();
+        let spec =
+            RunSpec::new(Scheme::Palermo, Workload::Mcf, cfg.clone()).with_custom(CustomProtocol {
+                hierarchy,
+                controller,
+                prefetch_length: 1,
+            });
+        let reference = spec.execute_stepped(&ReferenceStepper).unwrap();
+        let calendar = spec.execute_stepped(&CalendarStepper).unwrap();
+        assert!(reference.oram_requests > 0);
+        assert_eq!(
+            reference, calendar,
+            "issue width {issue_width}: RunMetrics diverged"
+        );
+    }
 }
 
 /// With `warmup_requests = 0` the measured window must open before the first
