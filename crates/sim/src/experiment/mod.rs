@@ -14,7 +14,8 @@
 //!   threads with deterministic, order-preserving result collection.
 //!
 //! Results come back as a [`ResultSet`] of [`RunRecord`]s with
-//! baseline-normalisation, geo-mean and CSV/JSON export helpers.
+//! baseline-normalisation and geo-mean helpers; their rows export to CSV
+//! and JSON through [`ExportRow`].
 //!
 //! # Example
 //!
@@ -42,7 +43,7 @@ pub mod executor;
 pub mod results;
 
 pub use executor::{Executor, SerialExecutor, ThreadPoolExecutor};
-pub use results::{ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
+pub use results::{Cell, ExportRow, ResultSet, RunRecord, RunSummary, ShardSummary, TenantSummary};
 
 use crate::runner::{
     run_with_protocol, run_workload_spec_stepped, CalendarStepper, RunMetrics, Stepper,

@@ -1,11 +1,18 @@
 //! Result collection: per-run records, baseline normalisation, geo-means
 //! and dependency-free CSV/JSON export.
+//!
+//! Every exported table is an [`ExportRow`] type: [`RunSummary`] (one row
+//! per run), [`TenantSummary`] (one row per run and tenant) and
+//! [`ShardSummary`] (one row per sharded run and shard). Each declares its
+//! columns once; one CSV writer, CSV reader, JSON writer and JSON reader
+//! serve all three.
 
 use crate::runner::RunMetrics;
 use crate::schemes::Scheme;
 use palermo_analysis::stats::geometric_mean;
 use palermo_workloads::{Workload, WorkloadSpec};
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
 /// The outcome of one executed [`RunSpec`](super::RunSpec).
 #[derive(Debug, Clone)]
@@ -20,94 +27,154 @@ pub struct RunRecord {
     pub metrics: RunMetrics,
 }
 
-impl RunRecord {
-    /// The per-tenant summaries of this record, one per tenant in tenant
-    /// order (empty when the run was executed with per-tenant attribution
-    /// disabled).
-    pub fn tenant_summaries(&self) -> Vec<TenantSummary> {
-        self.metrics
-            .per_tenant
-            .iter()
-            .map(|t| TenantSummary {
-                label: self.label.clone(),
-                scheme: self.scheme,
-                workload: self.workload.clone(),
-                tenant: t.tenant,
-                tenant_workload: self
-                    .workload
-                    .tenant_workload_name(t.tenant as usize)
-                    .unwrap_or_default(),
-                submitted: t.submitted,
-                completed: t.completed,
-                workload_accesses: t.workload_accesses,
-                mean_latency: t.mean_latency(),
-                p50_latency: t.p50_latency(),
-                p95_latency: t.p95_latency(),
-                p99_latency: t.p99_latency(),
-                dram_ops: t.dram_ops,
-                dram_share: self.metrics.tenant_dram_share(t.tenant as usize),
-                energy_j: self.metrics.tenant_energy_j(t.tenant as usize),
-            })
-            .collect()
+/// One cell of an exported row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// A string: CSV replaces `,` by `;` and control characters by spaces;
+    /// JSON quotes and escapes it.
+    Text(String),
+    /// A number, written verbatim in both formats.
+    Num(String),
+}
+
+fn text(s: impl Into<String>) -> Cell {
+    Cell::Text(s.into())
+}
+
+fn num(v: impl Display) -> Cell {
+    Cell::Num(v.to_string())
+}
+
+/// Reads a row's cells back in column order.
+struct CellReader<'a>(std::slice::Iter<'a, String>);
+
+impl CellReader<'_> {
+    fn text(&mut self) -> Option<String> {
+        self.0.next().cloned()
     }
 
-    /// The per-shard summaries of this record, one per shard in shard
-    /// order (empty for single-system runs).
-    pub fn shard_summaries(&self) -> Vec<ShardSummary> {
-        self.metrics
-            .per_shard
-            .iter()
-            .map(|s| ShardSummary {
-                label: self.label.clone(),
-                scheme: self.scheme,
-                workload: self.workload.clone(),
-                shard: s.shard,
-                oram_requests: s.oram_requests,
-                workload_accesses: s.workload_accesses,
-                dummy_requests: s.dummy_requests,
-                cycles: s.cycles,
-                submitted_requests: s.submitted_requests,
-                arrivals: s.arrivals,
-                dropped_arrivals: s.dropped_arrivals,
-                mean_latency: s.latency.mean(),
-                p99_latency: s.latency.p99(),
-                stash_high_water: s.stash_high_water,
-            })
-            .collect()
-    }
-
-    /// The scalar summary of this record used by the CSV/JSON exports.
-    pub fn summary(&self) -> RunSummary {
-        RunSummary {
-            label: self.label.clone(),
-            scheme: self.scheme,
-            workload: self.workload.clone(),
-            prefetch_length: self.metrics.prefetch_length,
-            oram_requests: self.metrics.oram_requests,
-            workload_accesses: self.metrics.workload_accesses,
-            dummy_requests: self.metrics.dummy_requests,
-            cycles: self.metrics.cycles,
-            mean_latency: self.metrics.mean_latency(),
-            llc_hit_rate: self.metrics.llc_hit_rate,
-            stash_high_water: self.metrics.stash_high_water,
-            bandwidth_utilization: self.metrics.dram.bandwidth_utilization(),
-            sync_stall_cycles: self.metrics.sync_stall_cycles,
-            arrivals: self.metrics.arrivals,
-            dropped_arrivals: self.metrics.dropped_arrivals,
-            mean_queue_wait: self.metrics.mean_queue_wait(),
-            shards: self.metrics.per_shard.len() as u32,
-            hardware: self.metrics.hardware.clone(),
-            energy_j: self.metrics.energy_j(),
-        }
+    fn num<T: FromStr>(&mut self) -> Option<T> {
+        self.0.next()?.parse().ok()
     }
 }
 
-/// The scalar per-run summary exported to CSV/JSON (and parsed back by the
-/// round-trip helpers). Floats use Rust's shortest round-trippable
-/// formatting, so `to_*`/`parse_*` round-trip exactly.
+/// One row type of the exported tables, and the CSV/JSON codec shared by
+/// all of them.
+///
+/// A row type declares its columns once: [`ExportRow::HEADER`] names them,
+/// [`ExportRow::cells`] renders a row's values in that order and
+/// [`ExportRow::from_cells`] reads them back. The provided methods write
+/// and read whole documents:
+///
+/// * CSV: the header line, then one line per row. Text cells have `,`
+///   replaced by `;` and control characters by spaces, so every row stays
+///   one line with one cell per column.
+/// * JSON: an array of flat objects keyed by the column names, one object
+///   per line; an empty table is `[]`. Text cells are escaped, so every
+///   string survives exactly.
+///
+/// Numbers use Rust's shortest round-trippable formatting, so
+/// `parse_json(&to_json(rows)) == Some(rows)` exactly, and `parse_csv`
+/// inverts `to_csv` up to the CSV replacements above. The readers are
+/// minimal readers for the shape the writers emit, not general CSV or JSON
+/// parsers; they return `None` on a malformed document or an unknown
+/// scheme or workload name, and never panic.
+pub trait ExportRow: Sized {
+    /// The comma-separated column names, in cell order.
+    const HEADER: &'static str;
+
+    /// The rows one record contributes to this table.
+    fn rows(record: &RunRecord) -> Vec<Self>;
+
+    /// This row's cells, one per column of [`ExportRow::HEADER`].
+    fn cells(&self) -> Vec<Cell>;
+
+    /// Rebuilds a row from its cells' text (string cells already
+    /// unescaped), or `None` if a cell does not parse.
+    fn from_cells(cells: &[String]) -> Option<Self>;
+
+    /// Renders `rows` as CSV, header line first.
+    fn to_csv(rows: &[Self]) -> String {
+        let mut out = String::new();
+        let _ = writeln!(out, "{}", Self::HEADER);
+        for row in rows {
+            let cells: Vec<String> = row
+                .cells()
+                .into_iter()
+                .map(|cell| match cell {
+                    Cell::Text(s) => sanitize_csv(&s),
+                    Cell::Num(s) => s,
+                })
+                .collect();
+            let _ = writeln!(out, "{}", cells.join(","));
+        }
+        out
+    }
+
+    /// Parses CSV written by [`ExportRow::to_csv`].
+    fn parse_csv(csv: &str) -> Option<Vec<Self>> {
+        let mut lines = csv.lines();
+        if lines.next()? != Self::HEADER {
+            return None;
+        }
+        let width = Self::HEADER.split(',').count();
+        lines
+            .map(|line| {
+                let cells: Vec<String> = line.split(',').map(str::to_string).collect();
+                if cells.len() != width {
+                    return None;
+                }
+                Self::from_cells(&cells)
+            })
+            .collect()
+    }
+
+    /// Renders `rows` as a JSON array of flat objects.
+    fn to_json(rows: &[Self]) -> String {
+        if rows.is_empty() {
+            return "[]\n".to_string();
+        }
+        let objects: Vec<String> = rows
+            .iter()
+            .map(|row| {
+                let fields: Vec<String> = Self::HEADER
+                    .split(',')
+                    .zip(row.cells())
+                    .map(|(key, cell)| match cell {
+                        Cell::Text(s) => format!("\"{key}\":\"{}\"", escape_json(&s)),
+                        Cell::Num(s) => format!("\"{key}\":{s}"),
+                    })
+                    .collect();
+                format!("  {{{}}}", fields.join(","))
+            })
+            .collect();
+        format!("[\n{}\n]\n", objects.join(",\n"))
+    }
+
+    /// Parses JSON written by [`ExportRow::to_json`].
+    fn parse_json(json: &str) -> Option<Vec<Self>> {
+        let body = json.trim();
+        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
+        if body.is_empty() {
+            return Some(Vec::new());
+        }
+        split_top_level_objects(body)?
+            .iter()
+            .map(|object| {
+                let cells = Self::HEADER
+                    .split(',')
+                    .map(|key| json_field(object, key))
+                    .collect::<Option<Vec<_>>>()?;
+                Self::from_cells(&cells)
+            })
+            .collect()
+    }
+}
+
+/// The scalar per-run summary: one row of the run table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
-    /// The spec's label (commas are replaced by `;` in CSV output).
+    /// The spec's label.
     pub label: String,
     /// The scheme.
     pub scheme: Scheme,
@@ -144,23 +211,16 @@ pub struct RunSummary {
     /// Mean admission-queue wait in cycles (0 for closed-loop runs).
     pub mean_queue_wait: f64,
     /// Shard count of a sharded run (0 for single-system runs — the
-    /// per-shard rows live in the shard CSV/JSON documents).
+    /// per-shard rows live in the shard table).
     pub shards: u32,
     /// Name of the hardware profile the run executed on ("ddr4-3200" for
-    /// the default; commas become `;` in CSV output, though profile names
-    /// never contain them).
+    /// the default).
     pub hardware: String,
     /// Total memory energy of the measured window, joules.
     pub energy_j: f64,
 }
 
 impl RunSummary {
-    /// The CSV header row matching [`RunSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,prefetch_length,oram_requests,\
-workload_accesses,dummy_requests,cycles,mean_latency,llc_hit_rate,stash_high_water,\
-bandwidth_utilization,sync_stall_cycles,arrivals,dropped_arrivals,mean_queue_wait,shards,\
-hardware,energy_j";
-
     /// Measured workload accesses per cycle (the end-to-end speedup metric).
     pub fn accesses_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
@@ -168,102 +228,95 @@ hardware,energy_j";
         }
         self.workload_accesses as f64 / self.cycles as f64
     }
+}
 
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.prefetch_length,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.mean_latency,
-            self.llc_hit_rate,
-            self.stash_high_water,
-            self.bandwidth_utilization,
-            self.sync_stall_cycles,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_queue_wait,
-            self.shards,
-            sanitize_csv(&self.hardware),
-            self.energy_j,
-        )
+impl ExportRow for RunSummary {
+    const HEADER: &'static str = "label,scheme,workload,prefetch_length,oram_requests,\
+workload_accesses,dummy_requests,cycles,mean_latency,llc_hit_rate,stash_high_water,\
+bandwidth_utilization,sync_stall_cycles,arrivals,dropped_arrivals,mean_queue_wait,shards,\
+hardware,energy_j";
+
+    fn rows(record: &RunRecord) -> Vec<Self> {
+        let m = &record.metrics;
+        vec![RunSummary {
+            label: record.label.clone(),
+            scheme: record.scheme,
+            workload: record.workload.clone(),
+            prefetch_length: m.prefetch_length,
+            oram_requests: m.oram_requests,
+            workload_accesses: m.workload_accesses,
+            dummy_requests: m.dummy_requests,
+            cycles: m.cycles,
+            mean_latency: m.mean_latency(),
+            llc_hit_rate: m.llc_hit_rate,
+            stash_high_water: m.stash_high_water,
+            bandwidth_utilization: m.dram.bandwidth_utilization(),
+            sync_stall_cycles: m.sync_stall_cycles,
+            arrivals: m.arrivals,
+            dropped_arrivals: m.dropped_arrivals,
+            mean_queue_wait: m.mean_queue_wait(),
+            shards: m.per_shard.len() as u32,
+            hardware: m.hardware.clone(),
+            energy_j: m.energy_j(),
+        }]
     }
 
-    /// Parses one CSV data row produced by [`RunSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<RunSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 19 {
-            return None;
-        }
+    fn cells(&self) -> Vec<Cell> {
+        vec![
+            text(&self.label),
+            text(self.scheme.name()),
+            text(self.workload.name()),
+            num(self.prefetch_length),
+            num(self.oram_requests),
+            num(self.workload_accesses),
+            num(self.dummy_requests),
+            num(self.cycles),
+            num(self.mean_latency),
+            num(self.llc_hit_rate),
+            num(self.stash_high_water),
+            num(self.bandwidth_utilization),
+            num(self.sync_stall_cycles),
+            num(self.arrivals),
+            num(self.dropped_arrivals),
+            num(self.mean_queue_wait),
+            num(self.shards),
+            text(&self.hardware),
+            num(self.energy_j),
+        ]
+    }
+
+    fn from_cells(cells: &[String]) -> Option<Self> {
+        let mut c = CellReader(cells.iter());
         Some(RunSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            prefetch_length: fields[3].parse().ok()?,
-            oram_requests: fields[4].parse().ok()?,
-            workload_accesses: fields[5].parse().ok()?,
-            dummy_requests: fields[6].parse().ok()?,
-            cycles: fields[7].parse().ok()?,
-            mean_latency: fields[8].parse().ok()?,
-            llc_hit_rate: fields[9].parse().ok()?,
-            stash_high_water: fields[10].parse().ok()?,
-            bandwidth_utilization: fields[11].parse().ok()?,
-            sync_stall_cycles: fields[12].parse().ok()?,
-            arrivals: fields[13].parse().ok()?,
-            dropped_arrivals: fields[14].parse().ok()?,
-            mean_queue_wait: fields[15].parse().ok()?,
-            shards: fields[16].parse().ok()?,
-            hardware: fields[17].to_string(),
-            energy_j: fields[18].parse().ok()?,
+            label: c.text()?,
+            scheme: Scheme::from_name(&c.text()?)?,
+            workload: WorkloadSpec::from_name(&c.text()?)?,
+            prefetch_length: c.num()?,
+            oram_requests: c.num()?,
+            workload_accesses: c.num()?,
+            dummy_requests: c.num()?,
+            cycles: c.num()?,
+            mean_latency: c.num()?,
+            llc_hit_rate: c.num()?,
+            stash_high_water: c.num()?,
+            bandwidth_utilization: c.num()?,
+            sync_stall_cycles: c.num()?,
+            arrivals: c.num()?,
+            dropped_arrivals: c.num()?,
+            mean_queue_wait: c.num()?,
+            shards: c.num()?,
+            hardware: c.text()?,
+            energy_j: c.num()?,
         })
-    }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\
-\"prefetch_length\":{},\"oram_requests\":{},\"workload_accesses\":{},\
-\"dummy_requests\":{},\"cycles\":{},\"mean_latency\":{},\"llc_hit_rate\":{},\
-\"stash_high_water\":{},\"bandwidth_utilization\":{},\"sync_stall_cycles\":{},\
-\"arrivals\":{},\"dropped_arrivals\":{},\"mean_queue_wait\":{},\"shards\":{},\
-\"hardware\":\"{}\",\"energy_j\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.prefetch_length,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.mean_latency,
-            self.llc_hit_rate,
-            self.stash_high_water,
-            self.bandwidth_utilization,
-            self.sync_stall_cycles,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_queue_wait,
-            self.shards,
-            escape_json(&self.hardware),
-            self.energy_j,
-        )
     }
 }
 
-/// One tenant's scalar QoS summary of one run, exported to the per-tenant
-/// CSV/JSON documents ([`ResultSet::to_tenant_csv`] /
-/// [`ResultSet::to_tenant_json`]) and parsed back by the round-trip
-/// helpers. One run contributes one row per tenant.
+/// One tenant's scalar QoS summary of one run: one row of the tenant
+/// table. One run contributes one row per tenant (none when it ran with
+/// per-tenant attribution disabled).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
-    /// The run's label (commas become `;` in CSV output).
+    /// The run's label.
     pub label: String,
     /// The scheme.
     pub scheme: Scheme,
@@ -298,94 +351,86 @@ pub struct TenantSummary {
     pub energy_j: f64,
 }
 
-impl TenantSummary {
-    /// The CSV header row matching [`TenantSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,tenant,tenant_workload,\
+impl ExportRow for TenantSummary {
+    const HEADER: &'static str = "label,scheme,workload,tenant,tenant_workload,\
 submitted,completed,workload_accesses,mean_latency,p50_latency,p95_latency,p99_latency,\
 dram_ops,dram_share,energy_j";
 
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.tenant,
-            sanitize_csv(&self.tenant_workload),
-            self.submitted,
-            self.completed,
-            self.workload_accesses,
-            self.mean_latency,
-            self.p50_latency,
-            self.p95_latency,
-            self.p99_latency,
-            self.dram_ops,
-            self.dram_share,
-            self.energy_j,
-        )
+    fn rows(record: &RunRecord) -> Vec<Self> {
+        let m = &record.metrics;
+        m.per_tenant
+            .iter()
+            .map(|t| TenantSummary {
+                label: record.label.clone(),
+                scheme: record.scheme,
+                workload: record.workload.clone(),
+                tenant: t.tenant,
+                tenant_workload: record
+                    .workload
+                    .tenant_workload_name(t.tenant as usize)
+                    .unwrap_or_default(),
+                submitted: t.submitted,
+                completed: t.completed,
+                workload_accesses: t.workload_accesses,
+                mean_latency: t.mean_latency(),
+                p50_latency: t.p50_latency(),
+                p95_latency: t.p95_latency(),
+                p99_latency: t.p99_latency(),
+                dram_ops: t.dram_ops,
+                dram_share: m.tenant_dram_share(t.tenant as usize),
+                energy_j: m.tenant_energy_j(t.tenant as usize),
+            })
+            .collect()
     }
 
-    /// Parses one CSV data row produced by [`TenantSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<TenantSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 15 {
-            return None;
-        }
+    fn cells(&self) -> Vec<Cell> {
+        vec![
+            text(&self.label),
+            text(self.scheme.name()),
+            text(self.workload.name()),
+            num(self.tenant),
+            text(&self.tenant_workload),
+            num(self.submitted),
+            num(self.completed),
+            num(self.workload_accesses),
+            num(self.mean_latency),
+            num(self.p50_latency),
+            num(self.p95_latency),
+            num(self.p99_latency),
+            num(self.dram_ops),
+            num(self.dram_share),
+            num(self.energy_j),
+        ]
+    }
+
+    fn from_cells(cells: &[String]) -> Option<Self> {
+        let mut c = CellReader(cells.iter());
         Some(TenantSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            tenant: fields[3].parse().ok()?,
-            tenant_workload: fields[4].to_string(),
-            submitted: fields[5].parse().ok()?,
-            completed: fields[6].parse().ok()?,
-            workload_accesses: fields[7].parse().ok()?,
-            mean_latency: fields[8].parse().ok()?,
-            p50_latency: fields[9].parse().ok()?,
-            p95_latency: fields[10].parse().ok()?,
-            p99_latency: fields[11].parse().ok()?,
-            dram_ops: fields[12].parse().ok()?,
-            dram_share: fields[13].parse().ok()?,
-            energy_j: fields[14].parse().ok()?,
+            label: c.text()?,
+            scheme: Scheme::from_name(&c.text()?)?,
+            workload: WorkloadSpec::from_name(&c.text()?)?,
+            tenant: c.num()?,
+            tenant_workload: c.text()?,
+            submitted: c.num()?,
+            completed: c.num()?,
+            workload_accesses: c.num()?,
+            mean_latency: c.num()?,
+            p50_latency: c.num()?,
+            p95_latency: c.num()?,
+            p99_latency: c.num()?,
+            dram_ops: c.num()?,
+            dram_share: c.num()?,
+            energy_j: c.num()?,
         })
-    }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\"tenant\":{},\
-\"tenant_workload\":\"{}\",\"submitted\":{},\"completed\":{},\"workload_accesses\":{},\
-\"mean_latency\":{},\"p50_latency\":{},\"p95_latency\":{},\"p99_latency\":{},\
-\"dram_ops\":{},\"dram_share\":{},\"energy_j\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.tenant,
-            escape_json(&self.tenant_workload),
-            self.submitted,
-            self.completed,
-            self.workload_accesses,
-            self.mean_latency,
-            self.p50_latency,
-            self.p95_latency,
-            self.p99_latency,
-            self.dram_ops,
-            self.dram_share,
-            self.energy_j,
-        )
     }
 }
 
-/// One shard's scalar summary of one sharded run, exported to the
-/// per-shard CSV/JSON documents ([`ResultSet::to_shard_csv`] /
-/// [`ResultSet::to_shard_json`]) and parsed back by the round-trip
-/// helpers. One sharded run contributes one row per shard; single-system
+/// One shard's scalar summary of one sharded run: one row of the shard
+/// table. One sharded run contributes one row per shard; single-system
 /// runs contribute none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardSummary {
-    /// The run's label (commas become `;` in CSV output).
+    /// The run's label.
     pub label: String,
     /// The scheme.
     pub scheme: Scheme,
@@ -415,120 +460,73 @@ pub struct ShardSummary {
     pub stash_high_water: usize,
 }
 
-impl ShardSummary {
-    /// The CSV header row matching [`ShardSummary::to_csv_row`].
-    pub const CSV_HEADER: &'static str = "label,scheme,workload,shard,oram_requests,\
+impl ExportRow for ShardSummary {
+    const HEADER: &'static str = "label,scheme,workload,shard,oram_requests,\
 workload_accesses,dummy_requests,cycles,submitted_requests,arrivals,dropped_arrivals,\
 mean_latency,p99_latency,stash_high_water";
 
-    /// Renders one CSV data row (no trailing newline).
-    pub fn to_csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            sanitize_csv(&self.label),
-            self.scheme,
-            sanitize_csv(&self.workload.name()),
-            self.shard,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.submitted_requests,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_latency,
-            self.p99_latency,
-            self.stash_high_water,
-        )
+    fn rows(record: &RunRecord) -> Vec<Self> {
+        record
+            .metrics
+            .per_shard
+            .iter()
+            .map(|s| ShardSummary {
+                label: record.label.clone(),
+                scheme: record.scheme,
+                workload: record.workload.clone(),
+                shard: s.shard,
+                oram_requests: s.oram_requests,
+                workload_accesses: s.workload_accesses,
+                dummy_requests: s.dummy_requests,
+                cycles: s.cycles,
+                submitted_requests: s.submitted_requests,
+                arrivals: s.arrivals,
+                dropped_arrivals: s.dropped_arrivals,
+                mean_latency: s.latency.mean(),
+                p99_latency: s.latency.p99(),
+                stash_high_water: s.stash_high_water,
+            })
+            .collect()
     }
 
-    /// Parses one CSV data row produced by [`ShardSummary::to_csv_row`].
-    /// Returns `None` on a malformed row or an unknown scheme/workload name.
-    pub fn from_csv_row(row: &str) -> Option<ShardSummary> {
-        let fields: Vec<&str> = row.split(',').collect();
-        if fields.len() != 14 {
-            return None;
-        }
+    fn cells(&self) -> Vec<Cell> {
+        vec![
+            text(&self.label),
+            text(self.scheme.name()),
+            text(self.workload.name()),
+            num(self.shard),
+            num(self.oram_requests),
+            num(self.workload_accesses),
+            num(self.dummy_requests),
+            num(self.cycles),
+            num(self.submitted_requests),
+            num(self.arrivals),
+            num(self.dropped_arrivals),
+            num(self.mean_latency),
+            num(self.p99_latency),
+            num(self.stash_high_water),
+        ]
+    }
+
+    fn from_cells(cells: &[String]) -> Option<Self> {
+        let mut c = CellReader(cells.iter());
         Some(ShardSummary {
-            label: fields[0].to_string(),
-            scheme: Scheme::from_name(fields[1])?,
-            workload: WorkloadSpec::from_name(fields[2])?,
-            shard: fields[3].parse().ok()?,
-            oram_requests: fields[4].parse().ok()?,
-            workload_accesses: fields[5].parse().ok()?,
-            dummy_requests: fields[6].parse().ok()?,
-            cycles: fields[7].parse().ok()?,
-            submitted_requests: fields[8].parse().ok()?,
-            arrivals: fields[9].parse().ok()?,
-            dropped_arrivals: fields[10].parse().ok()?,
-            mean_latency: fields[11].parse().ok()?,
-            p99_latency: fields[12].parse().ok()?,
-            stash_high_water: fields[13].parse().ok()?,
+            label: c.text()?,
+            scheme: Scheme::from_name(&c.text()?)?,
+            workload: WorkloadSpec::from_name(&c.text()?)?,
+            shard: c.num()?,
+            oram_requests: c.num()?,
+            workload_accesses: c.num()?,
+            dummy_requests: c.num()?,
+            cycles: c.num()?,
+            submitted_requests: c.num()?,
+            arrivals: c.num()?,
+            dropped_arrivals: c.num()?,
+            mean_latency: c.num()?,
+            p99_latency: c.num()?,
+            stash_high_water: c.num()?,
         })
     }
-
-    /// Renders this summary as one flat JSON object.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"label\":\"{}\",\"scheme\":\"{}\",\"workload\":\"{}\",\"shard\":{},\
-\"oram_requests\":{},\"workload_accesses\":{},\"dummy_requests\":{},\"cycles\":{},\
-\"submitted_requests\":{},\"arrivals\":{},\"dropped_arrivals\":{},\"mean_latency\":{},\
-\"p99_latency\":{},\"stash_high_water\":{}}}",
-            escape_json(&self.label),
-            self.scheme,
-            escape_json(&self.workload.name()),
-            self.shard,
-            self.oram_requests,
-            self.workload_accesses,
-            self.dummy_requests,
-            self.cycles,
-            self.submitted_requests,
-            self.arrivals,
-            self.dropped_arrivals,
-            self.mean_latency,
-            self.p99_latency,
-            self.stash_high_water,
-        )
-    }
-}
-
-fn shard_summary_from_json_object(object: &str) -> Option<ShardSummary> {
-    Some(ShardSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        shard: json_field(object, "shard")?.parse().ok()?,
-        oram_requests: json_field(object, "oram_requests")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        dummy_requests: json_field(object, "dummy_requests")?.parse().ok()?,
-        cycles: json_field(object, "cycles")?.parse().ok()?,
-        submitted_requests: json_field(object, "submitted_requests")?.parse().ok()?,
-        arrivals: json_field(object, "arrivals")?.parse().ok()?,
-        dropped_arrivals: json_field(object, "dropped_arrivals")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        p99_latency: json_field(object, "p99_latency")?.parse().ok()?,
-        stash_high_water: json_field(object, "stash_high_water")?.parse().ok()?,
-    })
-}
-
-fn tenant_summary_from_json_object(object: &str) -> Option<TenantSummary> {
-    Some(TenantSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        tenant: json_field(object, "tenant")?.parse().ok()?,
-        tenant_workload: json_field(object, "tenant_workload")?,
-        submitted: json_field(object, "submitted")?.parse().ok()?,
-        completed: json_field(object, "completed")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        p50_latency: json_field(object, "p50_latency")?.parse().ok()?,
-        p95_latency: json_field(object, "p95_latency")?.parse().ok()?,
-        p99_latency: json_field(object, "p99_latency")?.parse().ok()?,
-        dram_ops: json_field(object, "dram_ops")?.parse().ok()?,
-        dram_share: json_field(object, "dram_share")?.parse().ok()?,
-        energy_j: json_field(object, "energy_j")?.parse().ok()?,
-    })
 }
 
 /// Makes a label safe for one CSV cell: the separator becomes `;` and
@@ -666,173 +664,10 @@ impl ResultSet {
         geometric_mean(&speedups)
     }
 
-    /// The scalar summaries of every record, in grid order.
-    pub fn summaries(&self) -> Vec<RunSummary> {
-        self.records.iter().map(RunRecord::summary).collect()
-    }
-
-    /// Renders the set as CSV (header row first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", RunSummary::CSV_HEADER);
-        for record in &self.records {
-            let _ = writeln!(out, "{}", record.summary().to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_csv`] back into summaries.
-    /// Returns `None` on a malformed document.
-    pub fn parse_csv(csv: &str) -> Option<Vec<RunSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != RunSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(RunSummary::from_csv_row).collect()
-    }
-
-    /// Renders the set as a JSON array of flat per-run objects.
-    pub fn to_json(&self) -> String {
-        let objects: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| format!("  {}", r.summary().to_json_object()))
-            .collect();
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_json`] back into summaries.
-    /// This is a minimal reader for the flat shape this module emits, not a
-    /// general JSON parser. Returns `None` on malformed input.
-    pub fn parse_json(json: &str) -> Option<Vec<RunSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(summary_from_json_object(&object)?);
-        }
-        Some(summaries)
-    }
-
-    /// The per-tenant summaries of every record, flattened in grid order
-    /// (record by record, tenants in tenant order within each record).
-    pub fn tenant_summaries(&self) -> Vec<TenantSummary> {
-        self.records
-            .iter()
-            .flat_map(RunRecord::tenant_summaries)
-            .collect()
-    }
-
-    /// Renders the per-tenant QoS table as CSV (header row first), one row
-    /// per (run, tenant).
-    pub fn to_tenant_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", TenantSummary::CSV_HEADER);
-        for summary in self.tenant_summaries() {
-            let _ = writeln!(out, "{}", summary.to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_tenant_csv`] back into
-    /// per-tenant summaries. Returns `None` on a malformed document.
-    pub fn parse_tenant_csv(csv: &str) -> Option<Vec<TenantSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != TenantSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(TenantSummary::from_csv_row).collect()
-    }
-
-    /// Renders the per-tenant QoS table as a JSON array of flat objects.
-    pub fn to_tenant_json(&self) -> String {
-        let objects: Vec<String> = self
-            .tenant_summaries()
-            .iter()
-            .map(|s| format!("  {}", s.to_json_object()))
-            .collect();
-        if objects.is_empty() {
-            return "[]\n".to_string();
-        }
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_tenant_json`] back into
-    /// per-tenant summaries. Returns `None` on malformed input.
-    pub fn parse_tenant_json(json: &str) -> Option<Vec<TenantSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(tenant_summary_from_json_object(&object)?);
-        }
-        Some(summaries)
-    }
-
-    /// The per-shard summaries of every record, flattened in grid order
-    /// (record by record, shards in shard order within each record).
-    /// Single-system records contribute no rows.
-    pub fn shard_summaries(&self) -> Vec<ShardSummary> {
-        self.records
-            .iter()
-            .flat_map(RunRecord::shard_summaries)
-            .collect()
-    }
-
-    /// Renders the per-shard attribution table as CSV (header row first),
-    /// one row per (sharded run, shard).
-    pub fn to_shard_csv(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", ShardSummary::CSV_HEADER);
-        for summary in self.shard_summaries() {
-            let _ = writeln!(out, "{}", summary.to_csv_row());
-        }
-        out
-    }
-
-    /// Parses CSV produced by [`ResultSet::to_shard_csv`] back into
-    /// per-shard summaries. Returns `None` on a malformed document.
-    pub fn parse_shard_csv(csv: &str) -> Option<Vec<ShardSummary>> {
-        let mut lines = csv.lines();
-        if lines.next()? != ShardSummary::CSV_HEADER {
-            return None;
-        }
-        lines.map(ShardSummary::from_csv_row).collect()
-    }
-
-    /// Renders the per-shard attribution table as a JSON array of flat
-    /// objects.
-    pub fn to_shard_json(&self) -> String {
-        let objects: Vec<String> = self
-            .shard_summaries()
-            .iter()
-            .map(|s| format!("  {}", s.to_json_object()))
-            .collect();
-        if objects.is_empty() {
-            return "[]\n".to_string();
-        }
-        format!("[\n{}\n]\n", objects.join(",\n"))
-    }
-
-    /// Parses JSON produced by [`ResultSet::to_shard_json`] back into
-    /// per-shard summaries. Returns `None` on malformed input.
-    pub fn parse_shard_json(json: &str) -> Option<Vec<ShardSummary>> {
-        let body = json.trim();
-        let body = body.strip_prefix('[')?.strip_suffix(']')?.trim();
-        if body.is_empty() {
-            return Some(Vec::new());
-        }
-        let mut summaries = Vec::new();
-        for object in split_top_level_objects(body)? {
-            summaries.push(shard_summary_from_json_object(&object)?);
-        }
-        Some(summaries)
+    /// The rows of one exported table for every record, in grid order
+    /// (record by record, then tenant or shard order within a record).
+    pub fn rows<T: ExportRow>(&self) -> Vec<T> {
+        self.records.iter().flat_map(T::rows).collect()
     }
 }
 
@@ -932,30 +767,6 @@ fn json_field(object: &str, key: &str) -> Option<String> {
     }
 }
 
-fn summary_from_json_object(object: &str) -> Option<RunSummary> {
-    Some(RunSummary {
-        label: json_field(object, "label")?,
-        scheme: Scheme::from_name(&json_field(object, "scheme")?)?,
-        workload: WorkloadSpec::from_name(&json_field(object, "workload")?)?,
-        prefetch_length: json_field(object, "prefetch_length")?.parse().ok()?,
-        oram_requests: json_field(object, "oram_requests")?.parse().ok()?,
-        workload_accesses: json_field(object, "workload_accesses")?.parse().ok()?,
-        dummy_requests: json_field(object, "dummy_requests")?.parse().ok()?,
-        cycles: json_field(object, "cycles")?.parse().ok()?,
-        mean_latency: json_field(object, "mean_latency")?.parse().ok()?,
-        llc_hit_rate: json_field(object, "llc_hit_rate")?.parse().ok()?,
-        stash_high_water: json_field(object, "stash_high_water")?.parse().ok()?,
-        bandwidth_utilization: json_field(object, "bandwidth_utilization")?.parse().ok()?,
-        sync_stall_cycles: json_field(object, "sync_stall_cycles")?.parse().ok()?,
-        arrivals: json_field(object, "arrivals")?.parse().ok()?,
-        dropped_arrivals: json_field(object, "dropped_arrivals")?.parse().ok()?,
-        mean_queue_wait: json_field(object, "mean_queue_wait")?.parse().ok()?,
-        shards: json_field(object, "shards")?.parse().ok()?,
-        hardware: json_field(object, "hardware")?,
-        energy_j: json_field(object, "energy_j")?.parse().ok()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -996,8 +807,11 @@ mod tests {
     #[test]
     fn csv_round_trips_exactly() {
         let set = small_set();
-        let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
-        assert_eq!(parsed, set.summaries());
+        let rows: Vec<RunSummary> = set.rows();
+        assert_eq!(
+            RunSummary::parse_csv(&RunSummary::to_csv(&rows)),
+            Some(rows)
+        );
     }
 
     fn mix_set() -> ResultSet {
@@ -1020,28 +834,27 @@ mod tests {
     #[test]
     fn tenant_csv_round_trips_exactly() {
         let set = mix_set();
-        let summaries = set.tenant_summaries();
+        let summaries: Vec<TenantSummary> = set.rows();
         assert_eq!(summaries.len(), 2, "one row per tenant");
         assert_eq!(summaries[0].tenant_workload, "redis");
         assert_eq!(summaries[1].tenant_workload, "llm");
-        let parsed = ResultSet::parse_tenant_csv(&set.to_tenant_csv()).unwrap();
+        let parsed = TenantSummary::parse_csv(&TenantSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
     }
 
     #[test]
     fn tenant_json_round_trips_exactly() {
         let set = mix_set();
-        let parsed = ResultSet::parse_tenant_json(&set.to_tenant_json()).unwrap();
-        assert_eq!(parsed, set.tenant_summaries());
+        let rows: Vec<TenantSummary> = set.rows();
+        assert_eq!(
+            TenantSummary::parse_json(&TenantSummary::to_json(&rows)),
+            Some(rows)
+        );
         // Single-tenant sets export one row per run, and empty sets parse.
         let single = small_set();
-        assert_eq!(single.tenant_summaries().len(), single.len());
-        assert_eq!(ResultSet::parse_tenant_json("[]").unwrap(), Vec::new());
-        assert_eq!(
-            ResultSet::parse_tenant_json(&ResultSet::default().to_tenant_json()).unwrap(),
-            Vec::new()
-        );
-        assert!(ResultSet::parse_tenant_csv("nope\n1,2").is_none());
+        assert_eq!(single.rows::<TenantSummary>().len(), single.len());
+        assert_eq!(TenantSummary::parse_json("[]").unwrap(), Vec::new());
+        assert!(TenantSummary::parse_csv("nope\n1,2").is_none());
     }
 
     fn shard_set() -> ResultSet {
@@ -1058,30 +871,44 @@ mod tests {
     #[test]
     fn shard_csv_round_trips_exactly() {
         let set = shard_set();
-        let summaries = set.shard_summaries();
+        let summaries: Vec<ShardSummary> = set.rows();
         assert_eq!(summaries.len(), 2, "one row per shard");
         assert_eq!(summaries[0].shard, 0);
         assert_eq!(summaries[1].shard, 1);
-        assert_eq!(set.summaries()[0].shards, 2);
-        let parsed = ResultSet::parse_shard_csv(&set.to_shard_csv()).unwrap();
+        assert_eq!(set.rows::<RunSummary>()[0].shards, 2);
+        let parsed = ShardSummary::parse_csv(&ShardSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
         // Single-system sets export no shard rows and a shards count of 0.
         let single = small_set();
-        assert!(single.shard_summaries().is_empty());
-        assert!(single.summaries().iter().all(|s| s.shards == 0));
-        assert!(ResultSet::parse_shard_csv("nope\n1,2").is_none());
+        assert!(single.rows::<ShardSummary>().is_empty());
+        assert!(single.rows::<RunSummary>().iter().all(|s| s.shards == 0));
+        assert!(ShardSummary::parse_csv("nope\n1,2").is_none());
     }
 
     #[test]
     fn shard_json_round_trips_exactly() {
         let set = shard_set();
-        let parsed = ResultSet::parse_shard_json(&set.to_shard_json()).unwrap();
-        assert_eq!(parsed, set.shard_summaries());
-        assert_eq!(ResultSet::parse_shard_json("[]").unwrap(), Vec::new());
+        let rows: Vec<ShardSummary> = set.rows();
         assert_eq!(
-            ResultSet::parse_shard_json(&ResultSet::default().to_shard_json()).unwrap(),
-            Vec::new()
+            ShardSummary::parse_json(&ShardSummary::to_json(&rows)),
+            Some(rows)
         );
+        assert_eq!(ShardSummary::parse_json("[]").unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn empty_tables_write_the_same_documents() {
+        fn check<T: ExportRow + PartialEq + std::fmt::Debug>() {
+            let rows: Vec<T> = ResultSet::default().rows();
+            assert!(rows.is_empty());
+            assert_eq!(T::to_json(&rows), "[]\n");
+            assert_eq!(T::to_csv(&rows), format!("{}\n", T::HEADER));
+            assert_eq!(T::parse_json("[]\n"), Some(Vec::new()));
+            assert_eq!(T::parse_csv(&T::to_csv(&rows)), Some(rows));
+        }
+        check::<RunSummary>();
+        check::<TenantSummary>();
+        check::<ShardSummary>();
     }
 
     #[test]
@@ -1090,32 +917,34 @@ mod tests {
         let mut record = set.records()[0].clone();
         record.label = "odd \"label\" with {braces},\ncommas\tand\u{1}controls".to_string();
         let odd = ResultSet::new(vec![record]);
-        let parsed = ResultSet::parse_shard_json(&odd.to_shard_json()).unwrap();
+        let rows: Vec<ShardSummary> = odd.rows();
+        let json = ShardSummary::to_json(&rows);
+        let parsed = ShardSummary::parse_json(&json).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces},\ncommas\tand\u{1}controls"
         );
         assert_eq!(parsed[0].workload.name(), "shard:2:hash:random");
-        assert!(!odd
-            .to_shard_json()
-            .chars()
-            .any(|c| c.is_control() && c != '\n'));
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
         // CSV flattens the label but stays one well-formed row per shard.
-        let csv = odd.to_shard_csv();
+        let csv = ShardSummary::to_csv(&rows);
         assert_eq!(csv.lines().count(), 3);
-        let parsed = ResultSet::parse_shard_csv(&csv).unwrap();
+        let parsed = ShardSummary::parse_csv(&csv).unwrap();
         assert_eq!(
             parsed[1].label,
             "odd \"label\" with {braces}; commas and controls"
         );
         // The sharded run-level summary round-trips through both formats
         // too (its workload cell carries the reserved `:`-grammar name).
-        let run_parsed = ResultSet::parse_csv(&odd.to_csv()).unwrap();
+        let runs: Vec<RunSummary> = odd.rows();
+        let run_parsed = RunSummary::parse_csv(&RunSummary::to_csv(&runs)).unwrap();
         assert_eq!(run_parsed[0].shards, 2);
         assert_eq!(run_parsed[0].workload.name(), "shard:2:hash:random");
-        let run_parsed = ResultSet::parse_json(&odd.to_json()).unwrap();
-        assert_eq!(run_parsed, odd.summaries());
+        assert_eq!(
+            RunSummary::parse_json(&RunSummary::to_json(&runs)),
+            Some(runs)
+        );
     }
 
     fn hardware_set() -> ResultSet {
@@ -1134,18 +963,17 @@ mod tests {
     #[test]
     fn hardware_and_energy_columns_round_trip_exactly() {
         let set = hardware_set();
-        let summaries = set.summaries();
+        let summaries: Vec<RunSummary> = set.rows();
         assert_eq!(summaries.len(), 3, "one run per profile");
         let names: Vec<&str> = summaries.iter().map(|s| s.hardware.as_str()).collect();
         assert_eq!(names, ["ddr4-3200", "ddr5-6400", "hbm2e"]);
         assert!(summaries.iter().all(|s| s.energy_j > 0.0));
-        let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
-        assert_eq!(parsed, summaries);
-        let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+        let csv = RunSummary::to_csv(&summaries);
+        assert_eq!(RunSummary::parse_csv(&csv).unwrap(), summaries);
+        let parsed = RunSummary::parse_json(&RunSummary::to_json(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
         // A pre-extension row (17 fields) no longer parses.
-        let legacy = set.to_csv();
-        let short_row: String = legacy
+        let short_row: String = csv
             .lines()
             .nth(1)
             .unwrap()
@@ -1153,22 +981,23 @@ mod tests {
             .take(17)
             .collect::<Vec<_>>()
             .join(",");
-        assert!(RunSummary::from_csv_row(&short_row).is_none());
+        let legacy = format!("{}\n{short_row}\n", RunSummary::HEADER);
+        assert!(RunSummary::parse_csv(&legacy).is_none());
     }
 
     #[test]
     fn tenant_energy_column_round_trips_and_partitions_the_total() {
         let set = mix_set();
         let record = &set.records()[0];
-        let summaries = set.tenant_summaries();
+        let summaries: Vec<TenantSummary> = set.rows();
         let tenant_total: f64 = summaries.iter().map(|t| t.energy_j).sum();
         assert!(tenant_total > 0.0);
         assert!(
             (tenant_total - record.metrics.energy_j()).abs() <= record.metrics.energy_j() * 1e-12
         );
-        let parsed = ResultSet::parse_tenant_csv(&set.to_tenant_csv()).unwrap();
+        let parsed = TenantSummary::parse_csv(&TenantSummary::to_csv(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
-        let parsed = ResultSet::parse_tenant_json(&set.to_tenant_json()).unwrap();
+        let parsed = TenantSummary::parse_json(&TenantSummary::to_json(&summaries)).unwrap();
         assert_eq!(parsed, summaries);
     }
 
@@ -1185,9 +1014,11 @@ mod tests {
 
     #[test]
     fn json_round_trips_exactly() {
-        let set = small_set();
-        let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
-        assert_eq!(parsed, set.summaries());
+        let rows: Vec<RunSummary> = small_set().rows();
+        assert_eq!(
+            RunSummary::parse_json(&RunSummary::to_json(&rows)),
+            Some(rows)
+        );
     }
 
     #[test]
@@ -1195,18 +1026,19 @@ mod tests {
         let set = small_set();
         let mut record = set.records()[0].clone();
         record.label = "odd \"label\" with {braces},\ncommas\tand\u{1}controls".to_string();
-        let odd = ResultSet::new(vec![record.clone()]);
-        let parsed = ResultSet::parse_json(&odd.to_json()).unwrap();
+        let rows: Vec<RunSummary> = ResultSet::new(vec![record]).rows();
+        let json = RunSummary::to_json(&rows);
+        let parsed = RunSummary::parse_json(&json).unwrap();
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces},\ncommas\tand\u{1}controls"
         );
         // The JSON document itself contains no raw control characters.
-        assert!(!odd.to_json().chars().any(|c| c.is_control() && c != '\n'));
+        assert!(!json.chars().any(|c| c.is_control() && c != '\n'));
         // CSV flattens the label but stays one well-formed row per record.
-        let csv = odd.to_csv();
+        let csv = RunSummary::to_csv(&rows);
         assert_eq!(csv.lines().count(), 2);
-        let parsed = ResultSet::parse_csv(&csv).unwrap();
+        let parsed = RunSummary::parse_csv(&csv).unwrap();
         assert_eq!(
             parsed[0].label,
             "odd \"label\" with {braces}; commas and controls"
@@ -1224,10 +1056,11 @@ mod tests {
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(ResultSet::parse_csv("not,a,header\n1,2").is_none());
-        assert!(ResultSet::parse_json("{\"not\":\"an array\"").is_none());
-        assert!(RunSummary::from_csv_row("too,few,fields").is_none());
-        assert_eq!(ResultSet::parse_json("[]").unwrap(), Vec::new());
+        assert!(RunSummary::parse_csv("not,a,header\n1,2").is_none());
+        assert!(RunSummary::parse_json("{\"not\":\"an array\"").is_none());
+        let short = format!("{}\ntoo,few,fields\n", RunSummary::HEADER);
+        assert!(RunSummary::parse_csv(&short).is_none());
+        assert_eq!(RunSummary::parse_json("[]").unwrap(), Vec::new());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! the integer determinism-contract counters, so rows are byte-identical
 //! across both executors and both steppers.
 
-use crate::experiment::{Executor, Experiment, ResultSet, SerialExecutor};
+use crate::experiment::{
+    Executor, Experiment, ExportRow, ResultSet, RunSummary, SerialExecutor, TenantSummary,
+};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -127,7 +129,9 @@ pub fn rows(
             let m = &record.metrics;
             // Reuse the export mapping so the figure table and the
             // CSV/JSON exports can never disagree on a field's meaning.
-            let summary = record.summary();
+            let Some(summary) = RunSummary::rows(record).pop() else {
+                continue;
+            };
             out.push(MemoryTechRow {
                 hardware: summary.hardware,
                 scheme,
@@ -165,7 +169,7 @@ pub fn tenant_rows(
                 continue;
             };
             debug_assert!(record.metrics.tenant_conservation_ok());
-            for s in record.tenant_summaries() {
+            for s in TenantSummary::rows(record) {
                 out.push(MemoryTechTenantRow {
                     hardware: profile.name.clone(),
                     scheme,

@@ -9,7 +9,9 @@
 //! are mixes and phased mixes, e.g. [`phased_service_mix`]'s
 //! arrival/departure scenario.
 
-use crate::experiment::{Executor, Experiment, ResultSet, SerialExecutor};
+use crate::experiment::{
+    Executor, Experiment, ExportRow, ResultSet, SerialExecutor, TenantSummary,
+};
 use crate::schemes::Scheme;
 use crate::system::SystemConfig;
 use palermo_analysis::report::{percent, Table};
@@ -114,7 +116,7 @@ pub fn rows(results: &ResultSet, spec: &WorkloadSpec, schemes: &[Scheme]) -> Vec
         debug_assert!(record.metrics.tenant_conservation_ok());
         // Reuse the export mapping so the figure table and the CSV/JSON
         // exports can never disagree on a field's meaning.
-        for s in record.tenant_summaries() {
+        for s in TenantSummary::rows(record) {
             rows.push(TenantQosRow {
                 scheme,
                 tenant: s.tenant,

@@ -13,7 +13,9 @@
 //! ```
 
 use palermo::analysis::report::{speedup, Table};
-use palermo::sim::experiment::{Experiment, ResultSet, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
+};
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
 use palermo::workloads::Workload;
@@ -61,7 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let started = Instant::now();
         let serial = grid(cfg).run(&SerialExecutor)?;
         let serial_wall = started.elapsed();
-        assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
+        assert_eq!(
+            RunSummary::to_csv(&serial.rows()),
+            RunSummary::to_csv(&results.rows()),
+            "executors diverged"
+        );
         eprintln!(
             "serial run finished in {serial_wall:.2?}; metrics identical; speedup {:.2}x",
             serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9)
@@ -97,26 +103,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     t.row(&gm);
     println!("{}", t.to_text());
 
+    let summaries: Vec<RunSummary> = results.rows();
+    let csv = RunSummary::to_csv(&summaries);
     println!("--- CSV export (first 3 lines) ---");
-    for line in results.to_csv().lines().take(3) {
+    for line in csv.lines().take(3) {
         println!("{line}");
     }
     println!("--- JSON export (first record) ---");
-    let json = results.to_json();
+    let json = RunSummary::to_json(&summaries);
     println!(
         "{}",
         json.lines().nth(1).unwrap_or("").trim_end_matches(',')
     );
 
     // Round-trip sanity: both exports parse back to the same summaries.
-    assert_eq!(
-        ResultSet::parse_csv(&results.to_csv()).as_deref(),
-        Some(results.summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_json(&json).as_deref(),
-        Some(results.summaries().as_slice())
-    );
+    assert_eq!(RunSummary::parse_csv(&csv).as_ref(), Some(&summaries));
+    assert_eq!(RunSummary::parse_json(&json), Some(summaries));
     println!(
         "\nCSV/JSON round-trip verified for {} records.",
         results.len()

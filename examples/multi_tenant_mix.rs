@@ -16,7 +16,9 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example multi_tenant_mix
 //! ```
 
-use palermo::sim::experiment::{Experiment, ResultSet, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, RunSummary, SerialExecutor, ThreadPoolExecutor,
+};
 use palermo::sim::figures::tenant_mix;
 use palermo::sim::schemes::Scheme;
 use palermo::sim::system::SystemConfig;
@@ -72,7 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The executors are byte-identical by construction; verify on demand.
     if std::env::var("PALERMO_SERIAL_CHECK").is_ok() {
         let serial = grid(cfg.clone(), &specs).run(&SerialExecutor)?;
-        assert_eq!(serial.to_csv(), results.to_csv(), "executors diverged");
+        assert_eq!(
+            RunSummary::to_csv(&serial.rows()),
+            RunSummary::to_csv(&results.rows()),
+            "executors diverged"
+        );
         eprintln!("serial re-run verified: executors byte-identical");
     }
 
@@ -95,16 +101,11 @@ dummy fraction {:.1}%",
     }
 
     // Spec names survive both exports: parse back and compare.
-    let csv = results.to_csv();
-    let json = results.to_json();
-    assert_eq!(
-        ResultSet::parse_csv(&csv).as_deref(),
-        Some(results.summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_json(&json).as_deref(),
-        Some(results.summaries().as_slice())
-    );
+    let summaries: Vec<RunSummary> = results.rows();
+    let csv = RunSummary::to_csv(&summaries);
+    let json = RunSummary::to_json(&summaries);
+    assert_eq!(RunSummary::parse_csv(&csv).as_ref(), Some(&summaries));
+    assert_eq!(RunSummary::parse_json(&json), Some(summaries));
     println!(
         "\nCSV/JSON round-trip verified for {} records (incl. mix and replay spec names).",
         results.len()

@@ -18,8 +18,7 @@
 //! PALERMO_REQUESTS=40 PALERMO_SERIAL_CHECK=1 cargo run --release --example shard_scaling
 //! ```
 
-use palermo::sim::experiment::ResultSet;
-use palermo::sim::experiment::RunRecord;
+use palermo::sim::experiment::{ExportRow, RunRecord, ShardSummary};
 use palermo::sim::figures::shard_scaling;
 use palermo::sim::runner::CalendarStepper;
 use palermo::sim::schemes::Scheme;
@@ -96,24 +95,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The per-shard attribution exports survive both round trips.
-    let results = ResultSet::new(vec![RunRecord {
+    let shards = ShardSummary::rows(&RunRecord {
         label: format!("Palermo/{spec}"),
         scheme: Scheme::Palermo,
         workload: spec.clone(),
         metrics,
-    }]);
-    let shard_csv = results.to_shard_csv();
+    });
+    let shard_csv = ShardSummary::to_csv(&shards);
+    assert_eq!(ShardSummary::parse_csv(&shard_csv).as_ref(), Some(&shards));
     assert_eq!(
-        ResultSet::parse_shard_csv(&shard_csv).as_deref(),
-        Some(results.shard_summaries().as_slice())
-    );
-    assert_eq!(
-        ResultSet::parse_shard_json(&results.to_shard_json()).as_deref(),
-        Some(results.shard_summaries().as_slice())
+        ShardSummary::parse_json(&ShardSummary::to_json(&shards)).as_ref(),
+        Some(&shards)
     );
     println!(
         "per-shard CSV/JSON round-trip verified for {} rows",
-        results.shard_summaries().len()
+        shards.len()
     );
     println!("--- per-shard CSV export ---");
     for line in shard_csv.lines() {

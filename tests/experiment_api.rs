@@ -3,7 +3,7 @@
 //! hosts.
 
 use palermo::sim::experiment::{
-    Experiment, ResultSet, RunSpec, SerialExecutor, ThreadPoolExecutor,
+    Experiment, ExportRow, RunSpec, RunSummary, SerialExecutor, ThreadPoolExecutor,
 };
 use palermo::sim::figures::fig10;
 use palermo::sim::schemes::Scheme;
@@ -66,8 +66,9 @@ fn executors_produce_byte_identical_metrics_on_a_fixed_seed_grid() {
         assert_eq!(s.metrics.dram.writes, p.metrics.dram.writes);
     }
     // The rendered exports are byte-identical too.
-    assert_eq!(serial.to_csv(), pooled.to_csv());
-    assert_eq!(serial.to_json(), pooled.to_json());
+    let (serial, pooled): (Vec<RunSummary>, Vec<RunSummary>) = (serial.rows(), pooled.rows());
+    assert_eq!(RunSummary::to_csv(&serial), RunSummary::to_csv(&pooled));
+    assert_eq!(RunSummary::to_json(&serial), RunSummary::to_json(&pooled));
 }
 
 #[test]
@@ -92,13 +93,12 @@ fn csv_export_round_trips() {
         .workloads([Workload::Random, Workload::Llm])
         .run(&SerialExecutor)
         .unwrap();
-    let csv = set.to_csv();
-    let parsed = ResultSet::parse_csv(&csv).expect("well-formed CSV");
-    assert_eq!(parsed, set.summaries());
+    let summaries: Vec<RunSummary> = set.rows();
+    let csv = RunSummary::to_csv(&summaries);
+    let parsed = RunSummary::parse_csv(&csv).expect("well-formed CSV");
+    assert_eq!(parsed, summaries);
     // A second render from nothing but the parsed values is identical.
-    let rerendered: Vec<String> = parsed.iter().map(|s| s.to_csv_row()).collect();
-    let original: Vec<&str> = csv.lines().skip(1).collect();
-    assert_eq!(rerendered, original);
+    assert_eq!(RunSummary::to_csv(&parsed), csv);
 }
 
 #[test]
@@ -109,8 +109,10 @@ fn json_export_round_trips() {
         .sweep_prefetch([1, 4])
         .run(&SerialExecutor)
         .unwrap();
-    let parsed = ResultSet::parse_json(&set.to_json()).expect("well-formed JSON");
-    assert_eq!(parsed, set.summaries());
+    let summaries: Vec<RunSummary> = set.rows();
+    let parsed =
+        RunSummary::parse_json(&RunSummary::to_json(&summaries)).expect("well-formed JSON");
+    assert_eq!(parsed, summaries);
     assert_eq!(parsed.len(), 2);
     assert!(parsed[0].label.ends_with("pf=1"));
 }
@@ -123,10 +125,11 @@ fn custom_labelled_specs_survive_export() {
         .spec(spec)
         .run(&SerialExecutor)
         .unwrap();
-    let parsed = ResultSet::parse_csv(&set.to_csv()).unwrap();
+    let summaries: Vec<RunSummary> = set.rows();
+    let parsed = RunSummary::parse_csv(&RunSummary::to_csv(&summaries)).unwrap();
     // CSV sanitises the comma; JSON preserves the label exactly.
     assert_eq!(parsed[0].label, "tuned; with commas");
-    let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+    let parsed = RunSummary::parse_json(&RunSummary::to_json(&summaries)).unwrap();
     assert_eq!(parsed[0].label, "tuned, with commas");
 }
 
@@ -152,7 +155,11 @@ fn thread_pool_halves_wall_clock_on_multicore_hosts() {
         .unwrap();
     let pooled_wall = started.elapsed();
 
-    assert_eq!(serial.to_csv(), pooled.to_csv(), "executors diverged");
+    assert_eq!(
+        RunSummary::to_csv(&serial.rows()),
+        RunSummary::to_csv(&pooled.rows()),
+        "executors diverged"
+    );
     let speedup = serial_wall.as_secs_f64() / pooled_wall.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 2.0,

@@ -14,10 +14,13 @@
 //! braces, commas, control characters and a trailing backslash.
 //!
 //! A deliberate format change regenerates the files from the output this
-//! test prints on failure.
+//! test prints on failure. A second test keeps README's column lists in
+//! step with the code.
 
 use palermo::dram::HardwareProfile;
-use palermo::sim::experiment::{ResultSet, RunSpec};
+use palermo::sim::experiment::{
+    ExportRow, ResultSet, RunSpec, RunSummary, ShardSummary, TenantSummary,
+};
 use palermo::sim::{Scheme, SystemConfig, WorkloadSpec};
 
 const HOSTILE_LABEL: &str = "odd \"label\" with {braces},\ncommas\tand\u{1}controls\\";
@@ -61,12 +64,12 @@ fn pinned_set() -> ResultSet {
 
 fn render(set: &ResultSet) -> [(&'static str, String); 6] {
     [
-        ("runs.csv", set.to_csv()),
-        ("runs.json", set.to_json()),
-        ("tenants.csv", set.to_tenant_csv()),
-        ("tenants.json", set.to_tenant_json()),
-        ("shards.csv", set.to_shard_csv()),
-        ("shards.json", set.to_shard_json()),
+        ("runs.csv", RunSummary::to_csv(&set.rows())),
+        ("runs.json", RunSummary::to_json(&set.rows())),
+        ("tenants.csv", TenantSummary::to_csv(&set.rows())),
+        ("tenants.json", TenantSummary::to_json(&set.rows())),
+        ("shards.csv", ShardSummary::to_csv(&set.rows())),
+        ("shards.json", ShardSummary::to_json(&set.rows())),
     ]
 }
 
@@ -94,4 +97,21 @@ files with:\n{}",
     );
     let total: usize = GOLDEN.iter().map(|(_, doc)| doc.len()).sum();
     assert!(total <= 16 * 1024, "golden exports grew to {total} bytes");
+}
+
+/// README's "Exports" section lists every table's columns; a column added
+/// to the code without the docs fails here.
+#[test]
+fn readme_lists_every_export_header() {
+    let readme = include_str!("../README.md");
+    for header in [
+        RunSummary::HEADER,
+        TenantSummary::HEADER,
+        ShardSummary::HEADER,
+    ] {
+        assert!(
+            readme.lines().any(|line| line == header),
+            "README.md does not list this export header on a line of its own:\n{header}"
+        );
+    }
 }

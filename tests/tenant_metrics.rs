@@ -8,7 +8,9 @@
 //! (including the fixed-bucket latency histograms) across a mix × scheme
 //! grid.
 
-use palermo::sim::experiment::{Experiment, SerialExecutor, ThreadPoolExecutor};
+use palermo::sim::experiment::{
+    Experiment, ExportRow, SerialExecutor, TenantSummary, ThreadPoolExecutor,
+};
 use palermo::sim::runner::{
     run_workload_spec, run_workload_spec_stepped, CalendarStepper, ReferenceStepper,
 };
@@ -125,8 +127,16 @@ fn per_tenant_metrics_are_byte_identical_across_executors() {
         assert_eq!(a.metrics, b.metrics, "{}", a.label);
     }
     // The flattened per-tenant export is identical too.
-    assert_eq!(serial.to_tenant_csv(), pooled.to_tenant_csv());
-    assert_eq!(serial.to_tenant_json(), pooled.to_tenant_json());
+    let serial: Vec<TenantSummary> = serial.rows();
+    let pooled: Vec<TenantSummary> = pooled.rows();
+    assert_eq!(
+        TenantSummary::to_csv(&serial),
+        TenantSummary::to_csv(&pooled)
+    );
+    assert_eq!(
+        TenantSummary::to_json(&serial),
+        TenantSummary::to_json(&pooled)
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! round-trips through CSV/JSON, and export robustness for hostile labels.
 
 use palermo::sim::experiment::{
-    Experiment, ResultSet, RunSpec, SerialExecutor, ThreadPoolExecutor,
+    Experiment, ExportRow, RunSpec, RunSummary, SerialExecutor, ThreadPoolExecutor,
 };
 use palermo::sim::runner::{run_workload_spec, run_workload_spec_stepped};
 use palermo::sim::runner::{CalendarStepper, ReferenceStepper};
@@ -145,8 +145,9 @@ fn spec_grid_is_byte_identical_across_executors() {
         assert_eq!(s.metrics.latencies, p.metrics.latencies, "{}", s.label);
         assert_eq!(s.metrics.dram, p.metrics.dram, "{}", s.label);
     }
-    assert_eq!(serial.to_csv(), pooled.to_csv());
-    assert_eq!(serial.to_json(), pooled.to_json());
+    let (serial, pooled): (Vec<RunSummary>, Vec<RunSummary>) = (serial.rows(), pooled.rows());
+    assert_eq!(RunSummary::to_csv(&serial), RunSummary::to_csv(&pooled));
+    assert_eq!(RunSummary::to_json(&serial), RunSummary::to_json(&pooled));
 }
 
 #[test]
@@ -177,18 +178,19 @@ fn spec_names_round_trip_through_csv_and_json() {
         ])
         .run(&SerialExecutor)
         .unwrap();
-    let summaries = set.summaries();
+    let summaries: Vec<RunSummary> = set.rows();
+    let csv = RunSummary::to_csv(&summaries);
+    let json = RunSummary::to_json(&summaries);
     // The workload column is the canonical spec name in both exports.
-    assert!(set
-        .to_csv()
+    assert!(csv
         .lines()
         .nth(2)
         .unwrap()
         .contains("mix:rr:redis*2+llm+stream+random"));
-    assert_eq!(ResultSet::parse_csv(&set.to_csv()).unwrap(), summaries);
-    assert_eq!(ResultSet::parse_json(&set.to_json()).unwrap(), summaries);
+    assert_eq!(RunSummary::parse_csv(&csv).unwrap(), summaries);
+    let parsed = RunSummary::parse_json(&json).unwrap();
+    assert_eq!(parsed, summaries);
     // Each parsed workload is semantically the spec that produced it.
-    let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
     assert_eq!(parsed[1].workload, four_tenant_mix());
 }
 
@@ -204,18 +206,18 @@ fn hostile_labels_survive_both_exports_in_both_directions() {
         .unwrap();
 
     // JSON escapes quotes/commas and restores them exactly.
-    let parsed = ResultSet::parse_json(&set.to_json()).unwrap();
+    let summaries: Vec<RunSummary> = set.rows();
+    let parsed = RunSummary::parse_json(&RunSummary::to_json(&summaries)).unwrap();
     assert_eq!(parsed[0].label, hostile);
-    assert_eq!(parsed, set.summaries());
+    assert_eq!(parsed, summaries);
 
     // CSV flattens the comma (separator) but keeps one well-formed row that
     // re-renders byte-identically from the parsed values.
-    let csv = set.to_csv();
+    let csv = RunSummary::to_csv(&summaries);
     assert_eq!(csv.lines().count(), 2);
-    let parsed = ResultSet::parse_csv(&csv).unwrap();
+    let parsed = RunSummary::parse_csv(&csv).unwrap();
     assert_eq!(parsed[0].label, "tenant \"A\"; 50%+ load; {prod}");
-    let rerendered: Vec<String> = parsed.iter().map(|s| s.to_csv_row()).collect();
-    assert_eq!(rerendered, csv.lines().skip(1).collect::<Vec<_>>());
+    assert_eq!(RunSummary::to_csv(&parsed), csv);
 }
 
 #[test]
