@@ -30,15 +30,22 @@ const SPECS: [&str; 4] = [
 ];
 
 /// Single rows outside the grid, appended after it so the grid rows keep
-/// their positions: a Palermo open-loop run offered more than it can serve
-/// (the controller runs at full occupancy with its DRAM queues full), and a
-/// sharded PalermoPrefetch run on a workload whose prefetch length is > 1.
-const EXTRA: [(Scheme, &str); 2] = [
+/// their positions, each with an optional DRAM queue capacity override:
+/// - a Palermo open-loop run offered more than it can serve (the controller
+///   runs at full occupancy with its DRAM queues full);
+/// - a sharded PalermoPrefetch run on a workload whose prefetch length is > 1;
+/// - Palermo-SW, whose serial ordering hands each request's successor over
+///   only when the predecessor's last read returns;
+/// - Palermo with two-entry DRAM queues, enqueue-blocked on almost every tick.
+const EXTRA: [(Scheme, &str, Option<usize>); 4] = [
     (
         Scheme::Palermo,
         "open:poisson:5.0:mix:rr:redis*2+llm+stream",
+        None,
     ),
-    (Scheme::PalermoPrefetch, "shard:2:hash:mcf"),
+    (Scheme::PalermoPrefetch, "shard:2:hash:mcf", None),
+    (Scheme::PalermoSw, "mcf", None),
+    (Scheme::Palermo, "mcf", Some(2)),
 ];
 
 /// FNV-1a over the little-endian bytes of each value.
@@ -55,7 +62,8 @@ fn fingerprint(label: &str, m: &RunMetrics) -> String {
     format!(
         "{label} cycles={} oram_requests={} dummy_requests={} submitted_requests={} \
 dram.reads={} dram.writes={} dram.row_hits={} stash_high_water={} sync_stall_cycles={} \
-arrivals={} dropped_arrivals={} latencies_fnv={:016x} queue_waits_fnv={:016x}",
+sync_stall_by_level={:?} arrivals={} dropped_arrivals={} latencies_fnv={:016x} \
+queue_waits_fnv={:016x}",
         m.cycles,
         m.oram_requests,
         m.dummy_requests,
@@ -65,6 +73,7 @@ arrivals={} dropped_arrivals={} latencies_fnv={:016x} queue_waits_fnv={:016x}",
         m.dram.row_hits,
         m.stash_high_water,
         m.sync_stall_cycles,
+        m.sync_stall_by_level,
         m.arrivals,
         m.dropped_arrivals,
         fnv1a64(&m.latencies),
@@ -99,21 +108,27 @@ fn custom_run(config: &SystemConfig) -> RunMetrics {
 fn regenerate() -> String {
     let config = SystemConfig::small_for_tests();
     let mut out = String::new();
-    let run = |out: &mut String, scheme: Scheme, name: &str| {
+    let run = |out: &mut String, scheme: Scheme, name: &str, config: &SystemConfig, label: &str| {
         let spec = WorkloadSpec::from_name(name).unwrap();
-        let m = run_workload_spec(scheme, &spec, &config)
-            .unwrap_or_else(|e| panic!("{scheme}/{name} failed: {e}"));
-        writeln!(out, "{}", fingerprint(&format!("{scheme}/{name}"), &m)).unwrap();
+        let m = run_workload_spec(scheme, &spec, config)
+            .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+        writeln!(out, "{}", fingerprint(label, &m)).unwrap();
     };
     for name in SPECS {
         for scheme in SCHEMES {
-            run(&mut out, scheme, name);
+            run(&mut out, scheme, name, &config, &format!("{scheme}/{name}"));
         }
     }
     let custom = custom_run(&config);
     writeln!(out, "{}", fingerprint("custom:PrORAM/stream/pf=4", &custom)).unwrap();
-    for (scheme, name) in EXTRA {
-        run(&mut out, scheme, name);
+    for (scheme, name, queue_capacity) in EXTRA {
+        let mut config = config.clone();
+        let mut label = format!("{scheme}/{name}");
+        if let Some(capacity) = queue_capacity {
+            config.dram.queue_capacity = capacity;
+            label.push_str(&format!(" dram.queue_capacity={capacity}"));
+        }
+        run(&mut out, scheme, name, &config, &label);
     }
     out
 }
