@@ -158,6 +158,11 @@ struct NodeRuntime {
     deps: u64,
     /// The nodes that depend on this node.
     dependents: u64,
+    /// The DRAM channel that turned the node's next operation away, if it
+    /// was turned away. The operation stays the node's next one until it
+    /// issues, so while that channel is full the node is rejected again
+    /// without building or mapping a request.
+    parked_on: Option<u32>,
 }
 
 /// The single-bit mask of node `n`. Plans hold at most
@@ -352,7 +357,8 @@ impl InflightRequest {
 /// `dram_id - base`. DRAM ids are handed out sequentially, so the live ids
 /// span a short window: the slab grows at the back as reads issue and
 /// shrinks from the front as the oldest slots empty. Posted writes take an
-/// id but no record (their completions carry no controller state).
+/// id but no record: they are done when the DRAM issues them and return no
+/// completion.
 #[derive(Debug, Default)]
 struct OutstandingReads {
     base: u64,
@@ -387,6 +393,20 @@ impl OutstandingReads {
     }
 }
 
+/// What one issue pass did, as the rest of [`OramController::tick`] needs
+/// it. A skipped pass is the default: nothing issued, nothing cut short.
+#[derive(Debug, Clone, Copy, Default)]
+struct IssuePass {
+    /// DRAM operations issued.
+    issued: usize,
+    /// The issue width ran out before the walk reached every pending node.
+    width_limited: bool,
+    /// Some reached pending node was not ready.
+    blocked_any: bool,
+    /// Some ready node kept operations it could not issue.
+    leftover_pending: bool,
+}
+
 /// What one [`OramController::tick`] observably did.
 ///
 /// The event-driven runner only skips cycles after a tick in which nothing
@@ -395,8 +415,7 @@ impl OutstandingReads {
 /// DRAM-side events (predicted by the DRAM model).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickActivity {
-    /// DRAM read completions routed back to a live plan node (posted-write
-    /// completions carry no controller state and are not counted).
+    /// DRAM read completions routed back to a live plan node.
     pub completions_routed: u64,
     /// Plan nodes whose `complete` flag flipped this tick.
     pub nodes_completed: u64,
@@ -440,14 +459,22 @@ pub struct OramController {
     stats: ControllerStats,
     /// Reused buffer for draining DRAM completions without per-tick allocs.
     completion_buf: Vec<palermo_dram::MemCompletion>,
-    /// Whether the last tick saw nodes with pending memory operations
+    /// Whether the last issue pass saw nodes with pending memory operations
     /// (the `any_pending` input to the stall-accounting rule).
     last_any_pending: bool,
-    /// Per-level dependency-blocked flags observed by the last tick.
+    /// Per-level dependency-blocked flags observed by the last issue pass.
     last_blocked_levels: [bool; SubOram::COUNT],
-    /// Addresses of the operations the last tick's issue pass had ready but
-    /// a full channel queue turned away, one per rejected node.
-    rejected: Vec<u64>,
+    /// One bit per DRAM channel that turned away an operation the last
+    /// issue pass had ready (bit `c` is channel `c`;
+    /// [`palermo_dram::DramConfig::MAX_CHANNELS`] bounds the channel count).
+    rejected: u64,
+    /// Whether an input of the issue pass changed since the last pass ran:
+    /// a submit, a node completing, a request's last outstanding read
+    /// returning, a retire, or a tick that did not settle. Together with
+    /// [`OramController::retry_ready`] at tick start this is every way a
+    /// pass can find work the last one did not, so a tick without either
+    /// skips the pass (it would issue nothing).
+    issue_inputs_changed: bool,
     /// Monotone clock counting countdown-bearing cycles: +1 per tick's
     /// step-2 sweep, +`total` per bulk skip. Node deadlines
     /// (`compute_expiry`) live in this clock's domain.
@@ -476,7 +503,8 @@ impl OramController {
             completion_buf: Vec::new(),
             last_any_pending: false,
             last_blocked_levels: [false; SubOram::COUNT],
-            rejected: Vec::new(),
+            rejected: 0,
+            issue_inputs_changed: false,
             countdown_clock: 0,
             countdown_min: u64::MAX,
         }
@@ -486,7 +514,7 @@ impl OramController {
     /// turned away by a full channel queue. [`OramController::retry_ready`]
     /// tells whether such a retry can now succeed.
     pub fn enqueue_blocked(&self) -> bool {
-        !self.rejected.is_empty()
+        self.rejected != 0
     }
 
     /// Whether a channel that turned away one of the last tick's enqueues
@@ -496,7 +524,7 @@ impl OramController {
     /// ready node would be turned away again. Always `false` when the last
     /// tick was not [enqueue-blocked](OramController::enqueue_blocked).
     pub fn retry_ready(&self, dram: &DramSystem) -> bool {
-        self.rejected.iter().any(|&addr| dram.can_accept(addr))
+        bits(self.rejected).any(|channel| dram.channel_can_accept(channel))
     }
 
     /// The configuration this controller was built with.
@@ -540,6 +568,7 @@ impl OramController {
         self.by_request_id
             .insert(req.plan.request_id, self.inflight.len());
         self.stats.requests_accepted += 1;
+        self.issue_inputs_changed = true;
         for i in 0..req.nodes.len() {
             if let Some(exp) = req.track_countdown(i, self.countdown_clock) {
                 self.countdown_min = self.countdown_min.min(exp);
@@ -591,13 +620,18 @@ impl OramController {
         let cycle = dram.cycle();
         self.stats.cycles += 1;
         let mut activity = TickActivity::default();
+        // A slot in a channel that turned the last pass away is an issue-
+        // pass input too; read it before this cycle's completions land.
+        if self.retry_ready(dram) {
+            self.issue_inputs_changed = true;
+        }
 
         // 1. Route DRAM completions back to their plan nodes.
         let mut completions = std::mem::take(&mut self.completion_buf);
         dram.drain_completed_into(&mut completions);
         for completion in &completions {
             let Some((req_id, n)) = self.outstanding_dram.remove(completion.id.0) else {
-                continue; // a posted write
+                continue; // not a read this controller recorded
             };
             let Some(&idx) = self.by_request_id.get(&req_id) else {
                 continue;
@@ -607,6 +641,10 @@ impl OramController {
             node.outstanding_reads = node.outstanding_reads.saturating_sub(1);
             req.outstanding_reads = req.outstanding_reads.saturating_sub(1);
             activity.completions_routed += 1;
+            if req.outstanding_reads == 0 {
+                // The Serial hand-off waits for the predecessor's last read.
+                self.issue_inputs_changed = true;
+            }
             if node.outstanding_reads == 0 {
                 // Min-merge so the conditional sweep below knows whether
                 // this deadline is already due.
@@ -656,12 +694,93 @@ impl OramController {
                 }
             }
             self.countdown_min = countdown_min;
+            if activity.nodes_completed > 0 {
+                self.issue_inputs_changed = true;
+            }
         }
 
-        // 3. Issue ready memory operations, oldest request first, and within
-        //    a request in plan order. Readiness is a mask expression; the
-        //    blocked-level flags the stall rule reads cover only the nodes
-        //    the walk reaches before the issue width runs out.
+        // 3. Issue ready memory operations, unless no input of the pass
+        //    changed since it last ran: the pass would then see the ready
+        //    set the last one left behind, all of it turned away by
+        //    channels that are still full, and issue nothing. Such a cycle
+        //    accounts its stall from the last pass's flags, as a skipped
+        //    cycle does.
+        let ran_pass = std::mem::take(&mut self.issue_inputs_changed);
+        let pass = if ran_pass {
+            self.issue_pass(dram)
+        } else {
+            IssuePass::default()
+        };
+        let issued_this_cycle = pass.issued;
+
+        // 4. Stall accounting for the Fig. 3 breakdown: a cycle in which the
+        //    controller had work but could not issue anything, while the
+        //    memory queues were starved, is an ORAM-sync stall attributed to
+        //    the levels whose nodes were dependency-blocked.
+        if issued_this_cycle == 0 {
+            self.account_stalls(u64::from(dram.queued() < 4));
+        } else {
+            self.stats.issue_cycles += 1;
+        }
+        self.stats.issued_ops += issued_this_cycle as u64;
+        activity.ops_issued = issued_this_cycle as u64;
+
+        // 5. Retire finished requests; the requests behind a retired one
+        //    move down one slot.
+        let mut idx = 0;
+        while idx < self.inflight.len() {
+            if !self.inflight[idx].is_finished() {
+                idx += 1;
+                continue;
+            }
+            let req = self.inflight.remove(idx);
+            self.by_request_id.remove(&req.plan.request_id);
+            for later in &self.inflight[idx..] {
+                if let Some(i) = self.by_request_id.get_mut(&later.plan.request_id) {
+                    *i -= 1;
+                }
+            }
+            self.stats.requests_finished += 1;
+            activity.requests_retired += 1;
+            self.finished.push(FinishedRequest {
+                request_id: req.plan.request_id,
+                submitted_at: req.submitted_at,
+                finished_at: cycle,
+                is_dummy: req.plan.is_dummy,
+                dram_ops: req.dram_ops,
+            });
+        }
+
+        // 6. Settling: decide whether the controller can possibly act next
+        //    cycle without an external event. A retire may unblock a
+        //    predecessor chain (and the runner's staged plan), and a width-
+        //    limited issue pass resumes next cycle, so neither settles, and
+        //    both make the next tick run its issue pass. For a settled-but-
+        //    active tick whose pass ran, the in-loop `any_pending` may
+        //    describe nodes that fully drained this very cycle, so the saved
+        //    value is rebuilt from the post-tick facts gathered during the
+        //    pass: dependency-blocked nodes survive the tick untouched
+        //    (their readiness is frozen until the next event) and leftover
+        //    pending ops on a settled tick can only be DRAM-rejected work. A
+        //    tick that skipped its pass changed no pending work, so the
+        //    saved flags stay as the last pass left them. Skipped cycles
+        //    then account stalls exactly as the per-cycle reference would
+        //    have.
+        activity.settled = activity.requests_retired == 0 && !pass.width_limited;
+        if !activity.settled {
+            self.issue_inputs_changed = true;
+        } else if ran_pass && activity.any() {
+            self.last_any_pending = pass.blocked_any || pass.leftover_pending;
+        }
+        activity
+    }
+
+    /// Step 3 of [`OramController::tick`]: issues ready memory operations,
+    /// oldest request first, and within a request in plan order. Readiness
+    /// is a mask expression; the blocked-level flags the stall rule reads
+    /// cover only the nodes the walk reaches before the issue width runs
+    /// out. Saves those flags and `any_pending` for the stall rule.
+    fn issue_pass(&mut self, dram: &mut DramSystem) -> IssuePass {
         let width = self.config.issue_width;
         let mut issued_this_cycle = 0usize;
         let mut blocked_levels = [false; SubOram::COUNT];
@@ -669,7 +788,7 @@ impl OramController {
         let mut width_limited = false;
         let mut blocked_any = false;
         let mut leftover_pending = false;
-        self.rejected.clear();
+        self.rejected = 0;
         for idx in 0..self.inflight.len() {
             if issued_this_cycle >= width {
                 width_limited = true;
@@ -706,17 +825,26 @@ impl OramController {
                     } else {
                         break;
                     };
+                    if let Some(channel) = node.parked_on {
+                        if !dram.channel_can_accept(channel as usize) {
+                            self.rejected |= bit(channel as usize);
+                            rejected = true;
+                            break;
+                        }
+                    }
                     let dram_id = self.next_dram_id;
                     let mem_req = if is_write {
                         MemRequest::write(dram_id, addr)
                     } else {
                         MemRequest::read(dram_id, addr)
                     };
-                    if !dram.try_enqueue(mem_req) {
-                        self.rejected.push(addr);
+                    if let Err(channel) = dram.enqueue(mem_req) {
+                        node.parked_on = Some(channel as u32);
+                        self.rejected |= bit(channel);
                         rejected = true;
                         break;
                     }
+                    node.parked_on = None;
                     self.next_dram_id += 1;
                     issued_this_cycle += 1;
                     req.dram_ops += 1;
@@ -778,70 +906,32 @@ impl OramController {
             }
         }
 
-        // 4. Stall accounting for the Fig. 3 breakdown: a cycle in which the
-        //    controller had work but could not issue anything, while the
-        //    memory queues were starved, is an ORAM-sync stall attributed to
-        //    the levels whose nodes were dependency-blocked.
-        if issued_this_cycle == 0 && any_pending && dram.queued() < 4 {
-            self.stats.sync_stall_cycles += 1;
-            for sub in SubOram::ALL {
-                if blocked_levels[sub.index()] {
-                    self.stats.sync_stall_by_level[sub.index()] += 1;
-                }
-            }
-        } else if issued_this_cycle > 0 {
-            self.stats.issue_cycles += 1;
-        }
-        self.stats.issued_ops += issued_this_cycle as u64;
-        activity.ops_issued = issued_this_cycle as u64;
-        // Remember the stall-accounting inputs: they stay frozen through any
-        // skipped cycles, so skip_cycles_window can replay the rule exactly.
+        // Remember the stall-accounting inputs: they stay frozen until the
+        // next pass, so skipped passes and skipped cycles replay the rule
+        // exactly.
         self.last_any_pending = any_pending;
         self.last_blocked_levels = blocked_levels;
+        IssuePass {
+            issued: issued_this_cycle,
+            width_limited,
+            blocked_any,
+            leftover_pending,
+        }
+    }
 
-        // 5. Retire finished requests; the requests behind a retired one
-        //    move down one slot.
-        let mut idx = 0;
-        while idx < self.inflight.len() {
-            if !self.inflight[idx].is_finished() {
-                idx += 1;
-                continue;
-            }
-            let req = self.inflight.remove(idx);
-            self.by_request_id.remove(&req.plan.request_id);
-            for later in &self.inflight[idx..] {
-                if let Some(i) = self.by_request_id.get_mut(&later.plan.request_id) {
-                    *i -= 1;
+    /// The stall rule for cycles that issue nothing, `stalled` of which had
+    /// a DRAM queue depth below the threshold: with pending work, each such
+    /// cycle is an ORAM-sync stall attributed to the levels the last issue
+    /// pass found dependency-blocked.
+    fn account_stalls(&mut self, stalled: u64) {
+        if self.last_any_pending && stalled > 0 {
+            self.stats.sync_stall_cycles += stalled;
+            for sub in SubOram::ALL {
+                if self.last_blocked_levels[sub.index()] {
+                    self.stats.sync_stall_by_level[sub.index()] += stalled;
                 }
             }
-            self.stats.requests_finished += 1;
-            activity.requests_retired += 1;
-            self.finished.push(FinishedRequest {
-                request_id: req.plan.request_id,
-                submitted_at: req.submitted_at,
-                finished_at: cycle,
-                is_dummy: req.plan.is_dummy,
-                dram_ops: req.dram_ops,
-            });
         }
-
-        // 6. Settling: decide whether the controller can possibly act next
-        //    cycle without an external event. A retire may unblock a
-        //    predecessor chain (and the runner's staged plan), and a width-
-        //    limited issue pass resumes next cycle, so neither settles. For
-        //    a settled-but-active tick the in-loop `any_pending` may describe
-        //    nodes that fully drained this very cycle, so the saved value is
-        //    rebuilt from the post-tick facts gathered during the issue pass:
-        //    dependency-blocked nodes survive the tick untouched (their
-        //    readiness is frozen until the next event) and leftover pending
-        //    ops on a settled tick can only be DRAM-rejected work. Skipped
-        //    cycles then account stalls exactly as the per-cycle reference
-        //    would have.
-        activity.settled = activity.requests_retired == 0 && !width_limited;
-        if activity.settled && activity.any() {
-            self.last_any_pending = blocked_any || leftover_pending;
-        }
-        activity
     }
 
     /// The earliest absolute cycle at which a future [`OramController::tick`]
@@ -906,14 +996,7 @@ impl OramController {
     pub fn skip_cycles_window(&mut self, total: u64, stalled: u64) {
         debug_assert!(stalled <= total);
         self.stats.cycles += total;
-        if self.last_any_pending && stalled > 0 {
-            self.stats.sync_stall_cycles += stalled;
-            for sub in SubOram::ALL {
-                if self.last_blocked_levels[sub.index()] {
-                    self.stats.sync_stall_by_level[sub.index()] += stalled;
-                }
-            }
-        }
+        self.account_stalls(stalled);
         self.countdown_clock += total;
         debug_assert!(
             total == 0
@@ -1221,6 +1304,109 @@ mod tests {
         assert_eq!(activity.ops_issued, 1);
         assert!(!ctrl.enqueue_blocked());
         assert!(!ctrl.retry_ready(&dram));
+    }
+
+    #[test]
+    fn serial_successor_issues_on_the_tick_its_predecessors_last_read_returns() {
+        // The predecessor's one node computes for a while after its read
+        // returns, so no node completes on the return tick: only the
+        // returning read itself can tell the issue pass that the Serial
+        // hand-off (all reads back) now lets the successor go.
+        let one_read = |id: u64, addr: u64, compute_cycles: u32| {
+            let mut b = AccessPlanBuilder::new(id, PhysAddr::new(0), OramOp::Read);
+            b.push(
+                SubOram::Data,
+                PhaseKind::LoadMetadata,
+                vec![addr],
+                vec![],
+                vec![],
+                compute_cycles,
+            );
+            b.build()
+        };
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(ControllerConfig::serial_default());
+        ctrl.try_submit(one_read(0, scattered_base(1), 50), 0)
+            .unwrap();
+        ctrl.try_submit(one_read(1, scattered_base(2), 0), 0)
+            .unwrap();
+        assert_eq!(
+            ctrl.tick(&mut dram).ops_issued,
+            1,
+            "only the predecessor issues"
+        );
+        loop {
+            dram.tick();
+            let activity = ctrl.tick(&mut dram);
+            if activity.completions_routed > 0 {
+                assert_eq!(activity.nodes_completed, 0);
+                assert_eq!(
+                    activity.ops_issued, 1,
+                    "the successor waited past the hand-off"
+                );
+                break;
+            }
+            assert_eq!(
+                activity.ops_issued, 0,
+                "the successor issued before the hand-off"
+            );
+            assert!(
+                dram.cycle() < 10_000,
+                "the predecessor's read never returned"
+            );
+        }
+    }
+
+    #[test]
+    fn a_parked_node_forgets_its_channel_once_the_operation_issues() {
+        // A node's first read is turned away by full channel 0; once channel
+        // 0 frees a slot the read takes it, filling the channel again. The
+        // node's next read goes to channel 1, which has room, so both issue
+        // in the same tick — the node must not stay parked on channel 0.
+        let mut config = DramConfig::ddr4_3200_quad_channel();
+        config.queue_capacity = 2;
+        let mut dram = DramSystem::new(config);
+        let ch0 = channel_addrs(config, 0, 3);
+        let ch1 = channel_addrs(config, 1, 1);
+        for (i, &a) in ch0[..2].iter().enumerate() {
+            assert!(dram.try_enqueue(MemRequest::read(1_000 + i as u64, a)));
+        }
+        let mut ctrl = OramController::new(ControllerConfig::palermo_default());
+        ctrl.try_submit(read_nodes_plan(0, &[vec![ch0[2], ch1[0]]]), dram.cycle())
+            .unwrap();
+        assert_eq!(ctrl.tick(&mut dram).ops_issued, 0);
+        assert!(ctrl.enqueue_blocked());
+        while !ctrl.retry_ready(&dram) {
+            dram.tick();
+            assert!(dram.cycle() < 10_000, "channel 0 never freed a slot");
+        }
+        let activity = ctrl.tick(&mut dram);
+        assert_eq!(activity.ops_issued, 2);
+        assert!(!ctrl.enqueue_blocked());
+    }
+
+    #[test]
+    fn a_width_limited_pass_resumes_on_the_next_tick() {
+        // Nothing but the unsettled tick itself tells the next tick that
+        // ready work is left: no submit, completion or freed slot follows.
+        let config = ControllerConfig {
+            policy: SchedulePolicy::PalermoMesh,
+            pe_columns: 8,
+            issue_width: 2,
+        };
+        let base = scattered_base(1);
+        let reads: Vec<u64> = (0..4).map(|i| base + i * 64).collect();
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        let mut ctrl = OramController::new(config);
+        ctrl.try_submit(read_nodes_plan(0, &[reads]), 0).unwrap();
+        let first = ctrl.tick(&mut dram);
+        assert_eq!(first.ops_issued, 2);
+        assert!(!first.settled);
+        dram.tick();
+        let second = ctrl.tick(&mut dram);
+        assert_eq!(second.completions_routed, 0);
+        assert_eq!(second.ops_issued, 2);
+        assert!(second.settled);
     }
 
     #[test]

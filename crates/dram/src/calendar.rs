@@ -1,50 +1,27 @@
-//! A calendar queue over per-source next-event cycles.
+//! The next-event table over per-source event cycles.
 //!
 //! The event-driven core needs one query answered cheaply and often: *which
-//! event source fires next, and when?* With a handful of channels a linear
-//! scan is fine, but sharded runs multiply event sources (K shards × C
-//! channels), and every source reschedules on every command it issues. A
-//! calendar queue — the classic bucketed time wheel from discrete-event
-//! simulation — keeps both operations cheap: scheduling drops the source
-//! into the bucket its cycle hashes to (O(1)), and peeking scans forward
-//! from the current cycle's bucket, which in steady state inspects O(1)
-//! buckets because DRAM events cluster tightly (tBL/tCCD/tRCD apart).
+//! event source fires next, and when?* A source is one DRAM channel of one
+//! [`crate::system::DramSystem`]. Every shipped profile has at most 16
+//! channels, and a sharded run builds one `DramSystem` per shard, so the
+//! source count stays at the channel count however many shards run. At
+//! that size the answer is a dense per-source key table plus a cached
+//! minimum: a reschedule is one store and at most one compare, and a peek
+//! is a field read while the cache holds, or a scan of a few keys when the
+//! cached source itself moved.
 //!
-//! Reschedules use lazy deletion: the authoritative key lives in a dense
-//! per-source table, and bucket entries whose key no longer matches are
-//! dropped when a scan meets them (with periodic compaction so abandoned
-//! entries cannot accumulate). Keys are absolute cycles; callers maintain
-//! the invariant that no live key lies in the past, which lets the scan
-//! start at `now`'s bucket. A scan that completes one full lap without
-//! finding a key inside its lap falls back to a direct minimum over the
-//! source table, bounding the worst case at O(sources) regardless of how
-//! far in the future the next event lies.
+//! Keys are absolute cycles; callers maintain the invariant that no live
+//! key lies in the past (debug-asserted on peek).
 
-/// Bucket count; power of two so the bucket index is a mask.
-const BUCKETS: usize = 64;
-/// Cycles per bucket (log2); 16-cycle buckets cover the common DDR4 command
-/// gaps (tBL=4 … tRCD/tCL≈22) with at most a couple of buckets scanned.
-const WIDTH_LOG2: u32 = 4;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    key: u64,
-    src: u32,
-}
-
-/// A bucketed time wheel mapping event sources to their next event cycle.
+/// A table mapping event sources to their next event cycle.
 ///
-/// `u64::MAX` means "no pending event" and is never stored in a bucket.
+/// `u64::MAX` means "no pending event".
 #[derive(Debug, Clone)]
 pub struct CalendarQueue {
-    buckets: Vec<Vec<Entry>>,
-    /// Authoritative key per source (`u64::MAX` = idle). Bucket entries
-    /// disagreeing with this table are stale and dropped on contact.
+    /// Key per source (`u64::MAX` = idle).
     key_of: Vec<u64>,
     /// Sources with a live key — lets an all-idle peek answer in O(1).
     live: usize,
-    /// Total bucket entries, live or stale, for compaction scheduling.
-    entries: usize,
     /// The exact `(key, src)` minimum over the table, or `None` when it
     /// must be recomputed. [`CalendarQueue::schedule`] keeps it current
     /// incrementally (an earlier key replaces it; rescheduling the cached
@@ -53,22 +30,12 @@ pub struct CalendarQueue {
     cached_min: Option<(u64, u32)>,
 }
 
-/// Below this source count a peek that misses the cache answers with a
-/// direct scan of the key table instead of walking the wheel: for a
-/// handful of sources (one per DRAM channel) four compares beat touching
-/// bucket memory. The wheel still absorbs `schedule` churn either way and
-/// carries the scan for the many-source sharded configurations it exists
-/// for.
-const DIRECT_SCAN_MAX_SOURCES: usize = 16;
-
 impl CalendarQueue {
-    /// Creates a calendar with `sources` idle event sources.
+    /// Creates a table with `sources` idle event sources.
     pub fn new(sources: usize) -> Self {
         CalendarQueue {
-            buckets: vec![Vec::new(); BUCKETS],
             key_of: vec![u64::MAX; sources],
             live: 0,
-            entries: 0,
             cached_min: None,
         }
     }
@@ -78,18 +45,12 @@ impl CalendarQueue {
         self.key_of.len()
     }
 
-    /// The authoritative key of `src` (`u64::MAX` when idle).
+    /// The key of `src` (`u64::MAX` when idle).
     pub fn key(&self, src: usize) -> u64 {
         self.key_of[src]
     }
 
-    fn bucket_of(key: u64) -> usize {
-        ((key >> WIDTH_LOG2) as usize) & (BUCKETS - 1)
-    }
-
     /// (Re)schedules `src` at absolute cycle `key`; `u64::MAX` cancels.
-    /// The previous bucket entry, if any, is abandoned in place and cleaned
-    /// up lazily.
     pub fn schedule(&mut self, src: usize, key: u64) {
         let old = self.key_of[src];
         if old == key {
@@ -111,45 +72,13 @@ impl CalendarQueue {
             }
             _ => {}
         }
-        if key != u64::MAX {
-            self.buckets[Self::bucket_of(key)].push(Entry {
-                key,
-                src: src as u32,
-            });
-            self.entries += 1;
-        }
-        // Lazy deletion can pile up abandoned entries faster than scans
-        // retire them (reschedules target future buckets the scan may never
-        // revisit). Rebuild from the authoritative table once the overhang
-        // exceeds a few entries per source.
-        if self.entries > self.key_of.len() * 4 + 8 {
-            self.compact();
-        }
-    }
-
-    fn compact(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.entries = 0;
-        for (src, &key) in self.key_of.iter().enumerate() {
-            if key != u64::MAX {
-                self.buckets[Self::bucket_of(key)].push(Entry {
-                    key,
-                    src: src as u32,
-                });
-                self.entries += 1;
-            }
-        }
     }
 
     /// The earliest pending event at or after `now`: `(cycle, source)`, or
-    /// `None` when every source is idle.
+    /// `None` when every source is idle. Ties go to the lowest source.
     ///
     /// Requires the caller's invariant that no live key is below `now`
-    /// (debug-asserted); the scan then starts at `now`'s bucket and walks
-    /// forward one lap, falling back to a direct table scan for events more
-    /// than `BUCKETS` buckets ahead.
+    /// (debug-asserted).
     pub fn peek_min(&mut self, now: u64) -> Option<(u64, usize)> {
         if self.live == 0 {
             return None;
@@ -159,59 +88,19 @@ impl CalendarQueue {
             debug_assert!(key >= now, "live key {key} below now {now}");
             return Some((key, src as usize));
         }
-        let found = if self.key_of.len() <= DIRECT_SCAN_MAX_SOURCES {
-            // Few sources: the table scan is a handful of compares, cheaper
-            // than touching wheel buckets.
-            self.key_of
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k != u64::MAX)
-                .map(|(src, &k)| (k, src))
-                .min()
-        } else {
-            self.scan_wheel(now)
-        };
-        self.cached_min = found.map(|(k, s)| (k, s as u32));
-        found
-    }
-
-    /// The wheel walk behind a cache-missing [`CalendarQueue::peek_min`] at
-    /// many-source scale: scan forward from `now`'s bucket for one lap,
-    /// dropping stale entries on contact, then fall back to a direct table
-    /// minimum for events beyond the lap horizon.
-    fn scan_wheel(&mut self, now: u64) -> Option<(u64, usize)> {
-        let first = now >> WIDTH_LOG2;
-        for lap_bucket in first..first + BUCKETS as u64 {
-            let idx = (lap_bucket as usize) & (BUCKETS - 1);
-            // Lap horizon: keys mapping to this bucket on a *later* lap stay.
-            let lap_end = (lap_bucket + 1) << WIDTH_LOG2;
-            let mut best: Option<(u64, usize)> = None;
-            let bucket = &mut self.buckets[idx];
-            let before = bucket.len();
-            bucket.retain(|e| {
-                if self.key_of[e.src as usize] != e.key {
-                    return false; // stale: rescheduled or cancelled
-                }
-                debug_assert!(e.key >= now, "live key {} below now {now}", e.key);
-                let candidate = (e.key, e.src as usize);
-                if e.key < lap_end && best.is_none_or(|b| candidate < b) {
-                    best = Some(candidate);
-                }
-                true
-            });
-            self.entries -= before - bucket.len();
-            if let Some(found) = best {
-                return Some(found);
-            }
-        }
-        // Nothing within one lap: the next event is far out. Answer from
-        // the authoritative table directly.
-        self.key_of
+        let found = self
+            .key_of
             .iter()
             .enumerate()
             .filter(|(_, &k)| k != u64::MAX)
             .map(|(src, &k)| (k, src))
-            .min()
+            .min();
+        debug_assert!(
+            found.is_none_or(|(k, _)| k >= now),
+            "live key below now {now}"
+        );
+        self.cached_min = found.map(|(k, s)| (k, s as u32));
+        found
     }
 }
 
@@ -238,10 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn reschedule_supersedes_stale_entries() {
+    fn reschedule_supersedes_the_old_key() {
         let mut c = CalendarQueue::new(2);
         c.schedule(0, 50);
-        c.schedule(0, 200); // moves later: old entry is stale
+        c.schedule(0, 200); // moves later
         assert_eq!(c.peek_min(0), Some((200, 0)));
         c.schedule(0, 90); // moves earlier again
         assert_eq!(c.peek_min(60), Some((90, 0)));
@@ -250,34 +139,20 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_fall_back_to_table_scan() {
+    fn ties_go_to_the_lowest_source() {
         let mut c = CalendarQueue::new(3);
-        // More than BUCKETS << WIDTH_LOG2 cycles ahead: outside the wheel's
-        // one-lap horizon from now=0.
-        let far = (BUCKETS as u64) << (WIDTH_LOG2 + 3);
-        c.schedule(1, far);
-        c.schedule(2, far + 5);
-        assert_eq!(c.peek_min(0), Some((far, 1)));
-    }
-
-    #[test]
-    fn wraparound_laps_do_not_alias() {
-        let mut c = CalendarQueue::new(2);
-        let lap = (BUCKETS as u64) << WIDTH_LOG2;
-        // Two keys in the same bucket, one lap apart: the near one wins, and
-        // after it is cancelled the far one is still found from a later now.
-        c.schedule(0, 10);
-        c.schedule(1, 10 + lap);
-        assert_eq!(c.peek_min(0), Some((10, 0)));
-        c.schedule(0, u64::MAX);
-        assert_eq!(c.peek_min(12), Some((10 + lap, 1)));
+        c.schedule(2, 10);
+        assert_eq!(c.peek_min(0), Some((10, 2)));
+        c.schedule(1, 10);
+        assert_eq!(c.peek_min(0), Some((10, 1)));
+        c.schedule(1, 30);
+        assert_eq!(c.peek_min(0), Some((10, 2)));
     }
 
     #[test]
     fn heavy_rescheduling_stays_consistent_with_naive_min() {
         // Pseudo-random churn across 16 sources; after every operation the
-        // calendar's answer must match a naive min over the key table, and
-        // compaction must keep total entries bounded.
+        // table's answer must match a naive min over the keys.
         let sources = 16;
         let mut c = CalendarQueue::new(sources);
         let mut keys = vec![u64::MAX; sources];
@@ -300,14 +175,13 @@ mod tests {
                 .map(|(s, &k)| (k, s))
                 .min();
             assert_eq!(c.peek_min(now), naive);
-            // Advance "time" to the min occasionally, keeping the no-key-
-            // below-now invariant by bumping stragglers forward first.
+            // Advance "time" to the min occasionally; new keys are drawn at
+            // or after it, so no live key falls below `now`.
             if state.is_multiple_of(7) {
                 if let Some((k, _)) = naive {
                     now = k;
                 }
             }
-            assert!(c.entries <= sources * 4 + 8 + 1, "compaction fell behind");
         }
     }
 }

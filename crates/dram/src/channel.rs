@@ -18,10 +18,12 @@
 //! command-bus spacing, tCCD_L, tRRD, tFAW — are applied at decision time as
 //! per-bank-group floors, so issuing on one bank never invalidates another
 //! bank's cache: cold banks are written once when touched and never
-//! rescanned. Global age ordering across banks uses a monotone per-channel
-//! sequence number stamped at enqueue, which makes "oldest ready first"
-//! a min-seq reduction over at most B cached candidates instead of a scan
-//! over every queued request.
+//! rescanned. Banks are laid out bank-group-major and
+//! [`DramConfig::validate`] requires a power-of-two group width, so every
+//! bank group is one aligned subtree of each tree. Global age ordering
+//! across banks uses a monotone per-channel sequence number stamped at
+//! enqueue, which makes "oldest ready first" a min-seq reduction over at
+//! most B cached candidates instead of a scan over every queued request.
 //!
 //! For the event-driven simulation core the channel additionally predicts
 //! [`Channel::next_event_cycle`] — the earliest future cycle at which a tick
@@ -29,6 +31,9 @@
 //! that cycle every tick is a provable no-op, so the caller may replace the
 //! intervening ticks with one [`Channel::skip_cycles`] call that performs the
 //! identical per-cycle statistics accounting in bulk.
+//!
+//! Writes are posted: a write is done when its column command issues, and
+//! only returning read data produces a [`MemCompletion`].
 
 use crate::address::DramCoord;
 use crate::config::DramConfig;
@@ -98,7 +103,8 @@ pub struct ChannelStats {
 pub struct ChannelTickResult {
     /// A command (column, activate or precharge) was issued.
     pub issued: bool,
-    /// Completions were produced (read data returned or a write posted).
+    /// Read data returned. A posted write is done when its column command
+    /// issues and produces no completion.
     pub completions: bool,
 }
 
@@ -251,7 +257,6 @@ impl Channel {
         true
     }
 
-    /// Bank group of a flat bank index (banks are bank-group-major).
     /// Channel-global earliest-issue floor for a column command targeting
     /// `group`: command/data-bus spacing plus same-group tCCD_L.
     fn col_floor(&self, group: u32) -> u64 {
@@ -267,10 +272,7 @@ impl Channel {
     /// Channel-global earliest-issue floor for an activate targeting
     /// `group`: the tFAW window plus same/cross-group tRRD.
     fn act_floor(&self, group: u32) -> u64 {
-        let mut at = 0;
-        if self.recent_activates.len() >= 4 {
-            at = self.recent_activates[self.recent_activates.len() - 4] + self.config.t_faw;
-        }
+        let mut at = self.faw_floor();
         if let Some((when, g)) = self.last_activate {
             let gap = if g == group {
                 self.config.t_rrd_l
@@ -356,9 +358,8 @@ impl Channel {
         }
         let mut best: Option<(u64, usize, u32)> = None;
         let bpg = self.config.banks_per_group as usize;
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            if aligned && self.col_tree.subtree_min(g * bpg, bpg) > cycle {
+            if self.col_tree.subtree_min(g * bpg, bpg) > cycle {
                 continue;
             }
             // The floor is a per-group constant for this cycle: hoist it out
@@ -386,9 +387,8 @@ impl Channel {
         }
         let mut best: Option<(u64, usize)> = None;
         let bpg = self.config.banks_per_group as usize;
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            if aligned && self.act_tree.subtree_min(g * bpg, bpg) > cycle {
+            if self.act_tree.subtree_min(g * bpg, bpg) > cycle {
                 continue;
             }
             let floor = self.act_floor(g as u32);
@@ -429,31 +429,71 @@ impl Channel {
         best.map(|(_, b, pos)| (b, pos))
     }
 
-    /// Earliest cycle at which any queued request becomes actionable: the
-    /// per-class tree minima per bank group combined with that group's
-    /// channel-global floor. O(groups × log B) — no per-request scan.
+    /// Earliest cycle at which any queued request becomes actionable: each
+    /// bank group's per-class tree minimum raised to that group's
+    /// channel-global floor. The floor is the same for every group except
+    /// one — the last column's group adds tCCD_L, the last activate's group
+    /// pays tRRD_L instead of tRRD_S — so each class needs only that
+    /// group's subtree minimum and the minimum over all other groups:
+    /// O(log groups), no per-group loop and no per-request scan.
     fn compute_next_actionable(&self) -> u64 {
+        let cfg = &self.config;
+        let col_special = self
+            .last_column
+            .map(|(when, g)| (g, self.next_column_cmd.max(when + cfg.t_ccd_l)));
+        let col = self.class_next(&self.col_tree, self.next_column_cmd, col_special);
+        let faw = self.faw_floor();
+        let (act_floor, act_special) = match self.last_activate {
+            Some((when, g)) => (
+                faw.max(when + cfg.t_rrd_s),
+                Some((g, faw.max(when + cfg.t_rrd_l))),
+            ),
+            None => (faw, None),
+        };
+        let act = self.class_next(&self.act_tree, act_floor, act_special);
+        self.pre_tree.min().min(col).min(act)
+    }
+
+    /// One class's earliest ready cycle: the tree minimum over every group
+    /// raised to `floor`, except group `special.0`, which is raised to
+    /// `special.1`. Empty leaves hold `u64::MAX`, which no floor raises.
+    fn class_next(&self, tree: &MinTree, floor: u64, special: Option<(u32, u64)>) -> u64 {
+        let Some((group, special_floor)) = special else {
+            return tree.min().max(floor);
+        };
+        let bpg = self.config.banks_per_group as usize;
+        let lo = group as usize * bpg;
+        let own = tree.subtree_min(lo, bpg);
+        // A tree minimum below the special group's own comes from another
+        // group; otherwise walk the special group's siblings.
+        let others = if tree.min() < own {
+            tree.min()
+        } else {
+            tree.min_excluding(lo, bpg)
+        };
+        own.max(special_floor).min(others.max(floor))
+    }
+
+    /// The tFAW part of the activate floor, common to every bank group.
+    fn faw_floor(&self) -> u64 {
+        match self.recent_activates.len() {
+            n if n >= 4 => self.recent_activates[n - 4] + self.config.t_faw,
+            _ => 0,
+        }
+    }
+
+    /// The per-group loop [`Channel::compute_next_actionable`] replaces,
+    /// kept as its test oracle.
+    #[cfg(test)]
+    fn next_actionable_per_group(&self) -> u64 {
         let mut next = self.pre_tree.min();
         let bpg = self.config.banks_per_group as usize;
-        // Bank-group-major layout makes each group an aligned block; when
-        // the group width is a power of two (all shipped geometries) the
-        // block is one subtree and its minimum one O(1) node lookup.
-        let aligned = bpg.is_power_of_two();
         for g in 0..self.config.bank_groups as usize {
-            let (lo, hi) = (g * bpg, (g + 1) * bpg);
-            let col = if aligned {
-                self.col_tree.subtree_min(lo, bpg)
-            } else {
-                self.col_tree.range_min(lo, hi)
-            };
+            let col = self.col_tree.subtree_min(g * bpg, bpg);
             if col != u64::MAX {
                 next = next.min(col.max(self.col_floor(g as u32)));
             }
-            let act = if aligned {
-                self.act_tree.subtree_min(lo, bpg)
-            } else {
-                self.act_tree.range_min(lo, hi)
-            };
+            let act = self.act_tree.subtree_min(g * bpg, bpg);
             if act != u64::MAX {
                 next = next.min(act.max(self.act_floor(g as u32)));
             }
@@ -461,7 +501,7 @@ impl Channel {
         next
     }
 
-    /// Returns `true` if completions are waiting to be drained.
+    /// Returns `true` if read data is waiting to be drained.
     pub fn has_pending_completions(&self) -> bool {
         !self.completed.is_empty()
     }
@@ -476,7 +516,10 @@ impl Channel {
         out.append(&mut self.completed);
     }
 
-    /// Advances the channel by one cycle, reporting what the tick did.
+    /// Advances the channel by one cycle, reporting what the tick did. The
+    /// tick reports completions only when read data returns: a write's
+    /// column command completes it on the spot, with no completion to
+    /// drain.
     ///
     /// When the cached [`Channel::next_event_cycle`] lies in the future the
     /// tick takes an O(1) fast path: the scheduler provably cannot act, so
@@ -522,7 +565,7 @@ impl Channel {
             // yield the earliest cycle at which any queued request could act
             // — which becomes the queue-side prediction.
             if let Some((b, pos)) = self.pick_column(cycle) {
-                result.completions |= self.issue_column(b, pos, cycle);
+                self.issue_column(b, pos, cycle);
                 result.issued = true;
                 self.queue_next = None;
             } else if let Some(b) = self.pick_activate(cycle) {
@@ -577,11 +620,12 @@ impl Channel {
         self.stats.queue_occupancy_sum += self.queue_len as u64 * skipped;
     }
 
-    /// Issues a column command; returns `true` if it produced an immediate
-    /// completion (writes are posted).
-    fn issue_column(&mut self, b: usize, pos: u32, cycle: u64) -> bool {
+    /// Issues a column command. A read's data returns `t_cl + t_bl` later;
+    /// a write is posted, done now, and produces no completion.
+    fn issue_column(&mut self, b: usize, pos: u32, cycle: u64) {
         let q = self.bank_queues[b]
             .remove(pos as usize)
+            // audit:allow(unwrap, pick_column only returns a position from the bank's column cache, which enqueue and refresh_bank keep pointing into the queue)
             .expect("candidate position from bank cache");
         self.queue_len -= 1;
         let cfg = self.config;
@@ -597,7 +641,7 @@ impl Channel {
         self.last_column = Some((cycle, q.coord.bank_group));
         self.stats.data_bus_busy_cycles += cfg.t_bl;
 
-        let completed = match q.req.kind {
+        match q.req.kind {
             MemOpKind::Read => {
                 let data_ready = cycle + cfg.t_cl + cfg.t_bl;
                 bank.next_precharge = bank.next_precharge.max(cycle + cfg.t_rtp);
@@ -609,32 +653,20 @@ impl Channel {
                     MemCompletion {
                         id: q.req.id,
                         addr: q.req.addr,
-                        kind: MemOpKind::Read,
                         enqueued_at: q.enqueued_at,
                         completed_at: data_ready,
                         row_result,
                     },
                 ));
-                false
             }
             MemOpKind::Write => {
                 let burst_end = cycle + cfg.t_cwl + cfg.t_bl;
                 bank.next_precharge = bank.next_precharge.max(burst_end + cfg.t_wr);
                 bank.next_column = bank.next_column.max(burst_end + cfg.t_wtr);
                 self.stats.writes += 1;
-                self.completed.push(MemCompletion {
-                    id: q.req.id,
-                    addr: q.req.addr,
-                    kind: MemOpKind::Write,
-                    enqueued_at: q.enqueued_at,
-                    completed_at: cycle,
-                    row_result,
-                });
-                true
             }
-        };
+        }
         self.refresh_bank(b);
-        completed
     }
 
     fn issue_activate(&mut self, b: usize, cycle: u64) {
@@ -678,6 +710,8 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::address::AddressMapper;
+    use crate::profile::HardwareProfile;
+    use proptest::prelude::*;
 
     fn channel_and_mapper() -> (Channel, AddressMapper) {
         let cfg = DramConfig::ddr4_3200_single_channel();
@@ -748,13 +782,23 @@ mod tests {
 
     #[test]
     fn writes_complete_as_posted() {
+        // A posted write is done when its column command issues: it counts
+        // in the stats, yields no completion, and leaves nothing to wait for.
         let (mut ch, m) = channel_and_mapper();
         let addr = 0x40_000;
         assert!(ch.enqueue(MemRequest::write(7, addr), m.map(addr), 0));
-        let done = run_until_complete(&mut ch, 1, 1000);
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].kind, MemOpKind::Write);
+        let mut cycle = 0;
+        while ch.stats().writes == 0 {
+            let result = ch.tick(cycle);
+            assert!(!result.completions, "a posted write reported a completion");
+            cycle += 1;
+            assert!(cycle < 1000, "the write never issued");
+        }
         assert_eq!(ch.stats().writes, 1);
+        assert!(!ch.has_pending_completions());
+        assert!(ch.drain_completed().is_empty());
+        assert_eq!(ch.outstanding(), 0);
+        assert_eq!(ch.next_event_cycle(cycle), None);
     }
 
     #[test]
@@ -960,5 +1004,61 @@ mod tests {
         // (and data) must come first.
         assert_eq!(done[0].id.0, 1);
         assert_eq!(done[1].id.0, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random enqueue/tick sequences on every shipped geometry: after
+        /// every step the O(log groups) next-event prediction equals the
+        /// per-group loop it replaced. Requests spread over every bank but
+        /// only a few rows, so row hits, conflicts and activate bursts
+        /// (tRRD/tFAW floors) all occur.
+        #[test]
+        fn next_actionable_matches_the_per_group_loop(
+            profile in 0usize..3,
+            steps in prop::collection::vec((0u8..4, any::<u64>()), 50..400),
+        ) {
+            let cfg = HardwareProfile::builtins()[profile].dram;
+            let banks = u64::from(cfg.banks_per_channel());
+            let mut ch = Channel::new(cfg);
+            let mut cycle = 0u64;
+            for (i, (kind, seed)) in steps.into_iter().enumerate() {
+                if kind < 2 && ch.can_accept() {
+                    let flat = seed % banks;
+                    let coord = DramCoord {
+                        channel: 0,
+                        bank_group: (flat / u64::from(cfg.banks_per_group)) as u32,
+                        bank: (flat % u64::from(cfg.banks_per_group)) as u32,
+                        row: (seed >> 16) % 3,
+                        column: (seed >> 24) % 8,
+                    };
+                    let req = if kind == 0 {
+                        MemRequest::read(i as u64, 0)
+                    } else {
+                        MemRequest::write(i as u64, 0)
+                    };
+                    ch.enqueue(req, coord, cycle);
+                } else {
+                    // Tick through a short stretch, checking after each
+                    // command the stretch issues.
+                    for _ in 0..1 + seed % 16 {
+                        ch.tick(cycle);
+                        ch.drain_completed();
+                        cycle += 1;
+                        prop_assert_eq!(
+                            ch.compute_next_actionable(),
+                            ch.next_actionable_per_group(),
+                            "profile {} at cycle {}", profile, cycle
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    ch.compute_next_actionable(),
+                    ch.next_actionable_per_group(),
+                    "profile {} at cycle {}", profile, cycle
+                );
+            }
+        }
     }
 }

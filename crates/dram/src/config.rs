@@ -38,6 +38,12 @@ pub enum DramConfigError {
         /// Configured burst size in bytes.
         burst_bytes: u64,
     },
+    /// More channels than [`DramConfig::MAX_CHANNELS`]: the controller
+    /// tracks the channels that turned its enqueues away in one `u64` mask.
+    TooManyChannels {
+        /// The configured channel count.
+        channels: u32,
+    },
     /// A timing cross-constraint is violated (e.g. `t_faw < 4 * t_rrd_s`
     /// would make the four-activate window weaker than plain
     /// activate-to-activate spacing — no real part is specified that way).
@@ -54,6 +60,11 @@ impl fmt::Display for DramConfigError {
                 write!(f, "{field} must be a non-zero power of two, got {value}")
             }
             DramConfigError::ZeroField { field } => write!(f, "{field} must be non-zero"),
+            DramConfigError::TooManyChannels { channels } => write!(
+                f,
+                "channels ({channels}) exceeds the maximum of {}",
+                DramConfig::MAX_CHANNELS
+            ),
             DramConfigError::RowSmallerThanBurst {
                 row_bytes,
                 burst_bytes,
@@ -123,6 +134,11 @@ pub struct DramConfig {
 }
 
 impl DramConfig {
+    /// The most channels a configuration may have (the width of the
+    /// controller's per-channel retry mask). The largest shipped profile
+    /// has 16.
+    pub const MAX_CHANNELS: u32 = 64;
+
     /// DDR4-3200 with 4 channels: the Table III configuration.
     pub fn ddr4_3200_quad_channel() -> Self {
         DramConfig {
@@ -211,6 +227,11 @@ impl DramConfig {
             if value == 0 || !value.is_power_of_two() {
                 return Err(DramConfigError::NotPowerOfTwo { field, value });
             }
+        }
+        if self.channels > Self::MAX_CHANNELS {
+            return Err(DramConfigError::TooManyChannels {
+                channels: self.channels,
+            });
         }
         let non_zero = [
             ("ranks", u64::from(self.ranks)),
@@ -327,6 +348,22 @@ mod tests {
             .validate(),
             Err(DramConfigError::ZeroField {
                 field: "queue_capacity"
+            })
+        );
+        assert!(DramConfig {
+            channels: DramConfig::MAX_CHANNELS,
+            ..DramConfig::default()
+        }
+        .validate()
+        .is_ok());
+        assert_eq!(
+            DramConfig {
+                channels: 2 * DramConfig::MAX_CHANNELS,
+                ..DramConfig::default()
+            }
+            .validate(),
+            Err(DramConfigError::TooManyChannels {
+                channels: 2 * DramConfig::MAX_CHANNELS
             })
         );
         assert_eq!(

@@ -8,10 +8,11 @@
 //! bank or its queue membership changes, so a single O(log B) [`MinTree::set`]
 //! keeps the structure current while cold banks are never rescanned. The
 //! channel-global constraints (command-bus spacing, tCCD_L, tRRD, tFAW) are
-//! applied at query time per bank group, which is why [`MinTree::range_min`]
-//! exposes contiguous-range minima: banks are laid out bank-group-major, so
-//! one range query per group yields the group's local minimum to combine
-//! with the group's global floor.
+//! applied at query time per bank group. Banks are laid out
+//! bank-group-major with a power-of-two group width, so a group is one
+//! aligned subtree: [`MinTree::subtree_min`] reads its minimum in O(1), and
+//! [`MinTree::min_excluding`] gives the minimum over every other group in
+//! O(log groups).
 
 /// Fixed-size tournament (segment) tree over `u64` values with `min` as the
 /// combining operation. Missing values are represented as `u64::MAX`.
@@ -79,22 +80,17 @@ impl MinTree {
         self.vals[(self.n + lo) / len]
     }
 
-    /// Minimum over the half-open slot range `[lo, hi)`.
-    pub fn range_min(&self, lo: usize, hi: usize) -> u64 {
-        debug_assert!(lo <= hi && hi <= self.leaves);
+    /// Minimum over every slot outside the aligned power-of-two block
+    /// `[lo, lo + len)`: the block is one subtree, so the minimum of
+    /// everything else is the minimum of the siblings on its path to the
+    /// root. O(log(slots / len)).
+    pub fn min_excluding(&self, lo: usize, len: usize) -> u64 {
+        debug_assert!(len.is_power_of_two() && lo.is_multiple_of(len) && lo + len <= self.n);
+        let mut node = (self.n + lo) / len;
         let mut best = u64::MAX;
-        let (mut l, mut r) = (self.n + lo, self.n + hi);
-        while l < r {
-            if l % 2 == 1 {
-                best = best.min(self.vals[l]);
-                l += 1;
-            }
-            if r % 2 == 1 {
-                r -= 1;
-                best = best.min(self.vals[r]);
-            }
-            l /= 2;
-            r /= 2;
+        while node > 1 {
+            best = best.min(self.vals[node ^ 1]);
+            node /= 2;
         }
         best
     }
@@ -104,11 +100,16 @@ impl MinTree {
 mod tests {
     use super::*;
 
+    /// Naive minimum over `vals[lo..hi]`.
+    fn naive_min(vals: &[u64], lo: usize, hi: usize) -> u64 {
+        vals[lo..hi].iter().copied().min().unwrap_or(u64::MAX)
+    }
+
     #[test]
     fn starts_empty() {
         let t = MinTree::new(16);
         assert_eq!(t.min(), u64::MAX);
-        assert_eq!(t.range_min(0, 16), u64::MAX);
+        assert_eq!(t.subtree_min(0, 16), u64::MAX);
         assert_eq!(t.len(), 16);
         assert!(!t.is_empty());
     }
@@ -128,48 +129,43 @@ mod tests {
     }
 
     #[test]
-    fn range_min_matches_naive_scan() {
-        // Non-power-of-two slot count plus exhaustive range checks against a
-        // reference array.
-        let slots = 13;
-        let mut t = MinTree::new(slots);
-        let mut vals = vec![u64::MAX; slots];
+    fn block_minima_match_naive_scans() {
+        // Random trees (power-of-two and padded slot counts, with empty
+        // slots) checked after every update: each aligned block's own
+        // minimum, and the minimum of everything outside it.
         let mut state: u64 = 0x9E37_79B9;
-        for step in 0..200 {
+        let mut next = || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let i = (state >> 33) as usize % slots;
-            let v = if step % 7 == 0 { u64::MAX } else { state >> 40 };
-            vals[i] = v;
-            t.set(i, v);
-            for lo in 0..=slots {
-                for hi in lo..=slots {
-                    let naive = vals[lo..hi].iter().copied().min().unwrap_or(u64::MAX);
-                    assert_eq!(t.range_min(lo, hi), naive, "range [{lo}, {hi})");
-                }
-            }
-        }
-        assert_eq!(t.min(), vals.iter().copied().min().unwrap());
-    }
-
-    #[test]
-    fn subtree_min_matches_range_min_on_aligned_blocks() {
-        let slots = 16;
-        let mut t = MinTree::new(slots);
-        let mut state: u64 = 0xDEAD_BEEF;
-        for _ in 0..100 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            t.set((state >> 33) as usize % slots, state >> 40);
-            for len in [1usize, 2, 4, 8, 16] {
-                for g in 0..slots / len {
-                    let lo = g * len;
-                    assert_eq!(
-                        t.subtree_min(lo, len),
-                        t.range_min(lo, lo + len),
-                        "block [{lo}, {})",
-                        lo + len
-                    );
+            state >> 33
+        };
+        for slots in [1usize, 2, 8, 13, 16, 32] {
+            let mut t = MinTree::new(slots);
+            let mut vals = vec![u64::MAX; t.n];
+            for step in 0..200 {
+                let i = next() as usize % slots;
+                let v = if step % 5 == 0 {
+                    u64::MAX
+                } else {
+                    next() % 1000
+                };
+                vals[i] = v;
+                t.set(i, v);
+                assert_eq!(t.min(), naive_min(&vals, 0, t.n));
+                let mut len = 1;
+                while len <= t.n {
+                    for lo in (0..t.n).step_by(len) {
+                        let outside = naive_min(&vals, 0, lo).min(naive_min(&vals, lo + len, t.n));
+                        assert_eq!(t.subtree_min(lo, len), naive_min(&vals, lo, lo + len));
+                        assert_eq!(
+                            t.min_excluding(lo, len),
+                            outside,
+                            "outside [{lo}, {})",
+                            lo + len
+                        );
+                    }
+                    len *= 2;
                 }
             }
         }
@@ -181,7 +177,7 @@ mod tests {
         assert_eq!(t.min(), u64::MAX);
         t.set(0, 42);
         assert_eq!(t.min(), 42);
-        assert_eq!(t.range_min(0, 1), 42);
-        assert_eq!(t.range_min(0, 0), u64::MAX);
+        assert_eq!(t.subtree_min(0, 1), 42);
+        assert_eq!(t.min_excluding(0, 1), u64::MAX);
     }
 }

@@ -60,19 +60,18 @@ pub enum RowBufferResult {
     Conflict,
 }
 
-/// A completed request handed back to the issuer.
+/// A read whose data returned, handed back to the issuer. Writes are
+/// posted: they are done when their column command issues and produce no
+/// completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemCompletion {
     /// The identifier the issuer supplied.
     pub id: RequestId,
     /// Byte address of the burst.
     pub addr: u64,
-    /// Read or write.
-    pub kind: MemOpKind,
     /// Cycle at which the request entered the controller queue.
     pub enqueued_at: u64,
-    /// Cycle at which the data transfer finished (reads) or the write was
-    /// issued to the bank (writes, which are posted).
+    /// Cycle at which the data transfer finished.
     pub completed_at: u64,
     /// Row-buffer outcome of the access.
     pub row_result: RowBufferResult,
@@ -101,7 +100,6 @@ mod tests {
         let c = MemCompletion {
             id: RequestId(0),
             addr: 0,
-            kind: MemOpKind::Read,
             enqueued_at: 100,
             completed_at: 146,
             row_result: RowBufferResult::Hit,

@@ -9,6 +9,8 @@ use crate::stats::DramStats;
 
 /// A complete DRAM subsystem: address mapper plus one [`Channel`] per
 /// configured channel, advanced in lock step by [`DramSystem::tick`].
+/// Reads hand back a [`MemCompletion`] when their data returns; writes are
+/// posted, done when their column command issues, and hand back nothing.
 ///
 /// ```
 /// use palermo_dram::config::DramConfig;
@@ -29,12 +31,11 @@ pub struct DramSystem {
     config: DramConfig,
     mapper: AddressMapper,
     channels: Vec<Channel>,
-    /// Calendar queue over per-channel next-event cycles: each channel is
+    /// Next-event table over per-channel next-event cycles: each channel is
     /// one event source, refreshed only when that channel's state changes
     /// (a command issue, a data return, or an enqueue), so
-    /// [`DramSystem::next_event_cycle`] answers from the wheel instead of
-    /// re-querying every channel — the structure that keeps the query cheap
-    /// when sharded runs multiply event sources.
+    /// [`DramSystem::next_event_cycle`] answers from the cached minimum
+    /// instead of re-querying every channel.
     calendar: CalendarQueue,
     cycle: u64,
 }
@@ -75,13 +76,31 @@ impl DramSystem {
         self.channels[coord.channel as usize].can_accept()
     }
 
+    /// Returns `true` if channel `channel`'s queue has space — the
+    /// channel-level form of [`DramSystem::can_accept`] for a caller that
+    /// already knows which channel turned it away.
+    pub fn channel_can_accept(&self, channel: usize) -> bool {
+        self.channels[channel].can_accept()
+    }
+
     /// Attempts to enqueue a request; returns `false` if the target
     /// channel's queue is full (the caller retries on a later cycle).
     pub fn try_enqueue(&mut self, req: MemRequest) -> bool {
+        self.enqueue(req).is_ok()
+    }
+
+    /// Like [`DramSystem::try_enqueue`], but a rejection names the full
+    /// channel, so the caller can wait on
+    /// [`DramSystem::channel_can_accept`] without mapping the address again.
+    ///
+    /// # Errors
+    ///
+    /// Returns the index of the target channel when its queue is full.
+    pub fn enqueue(&mut self, req: MemRequest) -> Result<(), usize> {
         let coord = self.mapper.map(req.addr);
         let ch = coord.channel as usize;
         if !self.channels[ch].enqueue(req, coord, self.cycle) {
-            return false;
+            return Err(ch);
         }
         // The new request can only pull this channel's next event earlier;
         // refresh its calendar key (O(1): the channel min-updates its own
@@ -90,12 +109,13 @@ impl DramSystem {
             .next_event_cycle(self.cycle)
             .unwrap_or(u64::MAX);
         self.calendar.schedule(ch, key);
-        true
+        Ok(())
     }
 
     /// Advances all channels by one memory-clock cycle, reporting what the
     /// tick observably did across channels — the event-driven runner derives
-    /// its time-skipping preconditions from the result.
+    /// its time-skipping preconditions from the result. `completions` means
+    /// read data returned; a tick that only issues writes reports none.
     pub fn tick(&mut self) -> ChannelTickResult {
         self.skip_to_and_tick(self.cycle)
     }
@@ -137,7 +157,7 @@ impl DramSystem {
 
     /// The earliest cycle `>=` the current cycle at which any channel could
     /// do observable work, or `None` if the whole system is idle. Answered
-    /// from the calendar queue (see [`CalendarQueue`]); see
+    /// from the next-event table (see [`CalendarQueue`]); see
     /// [`Channel::next_event_cycle`] for the exactness argument.
     pub fn next_event_cycle(&mut self) -> Option<u64> {
         let now = self.cycle;
@@ -155,12 +175,12 @@ impl DramSystem {
         self.cycle += skipped;
     }
 
-    /// Returns `true` if any channel holds completions not yet drained.
+    /// Returns `true` if any channel holds read completions not yet drained.
     pub fn has_pending_completions(&self) -> bool {
         self.channels.iter().any(|c| c.has_pending_completions())
     }
 
-    /// Collects all completions produced since the previous call.
+    /// Collects all read completions produced since the previous call.
     pub fn drain_completed(&mut self) -> Vec<MemCompletion> {
         let mut out = Vec::new();
         self.drain_completed_into(&mut out);
@@ -196,7 +216,6 @@ impl DramSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::MemOpKind;
 
     #[test]
     fn read_write_round_trip_all_channels() {
@@ -213,7 +232,7 @@ mod tests {
             }
         }
         assert_eq!(done.len(), 16);
-        assert!(done.iter().all(|c| c.kind == MemOpKind::Read));
+        assert!(done.iter().all(|c| c.completed_at > c.enqueued_at));
         let stats = dram.stats();
         assert_eq!(stats.reads, 16);
         assert!(stats.bandwidth_utilization() > 0.0);
@@ -317,6 +336,40 @@ mod tests {
         }
         assert_eq!(ticked.outstanding(), 0);
         assert_eq!(ticked.stats(), skipped.stats());
+    }
+
+    #[test]
+    fn a_tick_issuing_only_a_write_reports_no_completion() {
+        let mut dram = DramSystem::new(DramConfig::ddr4_3200_quad_channel());
+        assert!(dram.try_enqueue(MemRequest::write(1, 0x1000)));
+        let mut ticks = 0;
+        while dram.stats().writes == 0 {
+            let result = dram.tick();
+            assert!(!result.completions, "a posted write reported a completion");
+            ticks += 1;
+            assert!(ticks < 1000, "the write never issued");
+        }
+        assert!(!dram.has_pending_completions());
+        assert!(dram.drain_completed().is_empty());
+        assert_eq!(dram.outstanding(), 0);
+        assert_eq!(dram.next_event_cycle(), None);
+    }
+
+    #[test]
+    fn a_rejection_names_the_full_channel() {
+        let mut config = DramConfig::ddr4_3200_quad_channel();
+        config.queue_capacity = 1;
+        let mut dram = DramSystem::new(config);
+        let mapper = AddressMapper::new(config);
+        let addrs: Vec<u64> = (0..)
+            .map(|i: u64| i * 64)
+            .filter(|&a| mapper.map(a).channel == 2)
+            .take(2)
+            .collect();
+        assert_eq!(dram.enqueue(MemRequest::read(1, addrs[0])), Ok(()));
+        assert!(!dram.channel_can_accept(2));
+        assert!(dram.channel_can_accept(1));
+        assert_eq!(dram.enqueue(MemRequest::read(2, addrs[1])), Err(2));
     }
 
     #[test]

@@ -606,11 +606,12 @@ impl Stepper for ReferenceStepper {
 /// traffic is still draining it does not hand control back after a single
 /// jump. It keeps executing DRAM event ticks *inside* `advance_idle` —
 /// replaying the controller's per-cycle accounting in bulk between them —
-/// until something the controller must react to happens: a completion, a
-/// compute-countdown expiry, an open-loop arrival, or a DRAM issue that
-/// frees a slot in a channel that turned away one of the controller's
-/// enqueues ([`OramController::retry_ready`]). Backed by the DRAM system's
-/// calendar queue for the next-event lookups, hence the name.
+/// until something the controller must react to happens: read data
+/// returning (posted writes return nothing), a compute-countdown expiry, an
+/// open-loop arrival, or a DRAM issue that frees a slot in a channel that
+/// turned away one of the controller's enqueues
+/// ([`OramController::retry_ready`]). Backed by the DRAM system's
+/// next-event table (`CalendarQueue`) for the lookups, hence the name.
 ///
 /// Correctness rests on the window's freeze argument: with the controller
 /// settled, no pending completions and nothing to stage, every controller
